@@ -7,9 +7,11 @@
 
 #include <filesystem>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
+#include "ext/gf256.h"
 #include "ext/slz.h"
 #include "fs/posix_fs.h"
 #include "par/comm.h"
@@ -181,6 +183,37 @@ void BM_SlzDecompress(benchmark::State& state) {
       static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_SlzDecompress)->Arg(64 * kKiB)->Arg(1 * kMiB);
+
+// The checksum of every compression frame and ECC header, on the path this
+// CPU dispatches to (SSE4.2 or slicing-by-8).
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::byte> input(static_cast<std::size_t>(state.range(0)));
+  Rng(5).fill_bytes(input);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(input));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_Crc32c)->Arg(4 * kKiB)->Arg(1 * kMiB);
+
+// dst ^= c * src, the inner loop of every ECC encode and rebuild.
+void BM_GfMulAdd(benchmark::State& state) {
+  std::vector<std::byte> src(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::byte> dst(src.size());
+  Rng(7).fill_bytes(src);
+  const ext::GfMulTable table(0x53);
+  for (auto _ : state) {
+    table.mul_add(dst, src);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(src.size()));
+}
+BENCHMARK(BM_GfMulAdd)->Arg(4 * kKiB)->Arg(1 * kMiB);
 
 class Cleanup {
  public:

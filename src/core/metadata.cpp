@@ -86,6 +86,14 @@ Result<FileMeta2> FileMeta2::parse(std::span<const std::byte> bytes) {
     return Corrupt("bad metablock-2 magic");
   }
   SION_ASSIGN_OR_RETURN(const std::uint32_t ntasks, r.get_u32());
+  // The count is untrusted: every entry needs at least its u64 array count,
+  // so a claim beyond what the remaining bytes can hold is corruption, and
+  // the reservation below stays bounded by the bytes actually read.
+  if (ntasks > r.remaining() / sizeof(std::uint64_t)) {
+    return Corrupt(strformat("metablock 2 claims %u tasks but holds only %zu "
+                             "bytes of task arrays",
+                             ntasks, r.remaining()));
+  }
   FileMeta2 m;
   m.bytes_written.reserve(ntasks);
   for (std::uint32_t t = 0; t < ntasks; ++t) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/crc32c.h"
 #include "common/strings.h"
 #include "ext/slz.h"
 
@@ -10,21 +11,9 @@ namespace sion::ext {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> kCrc32cTable = [] {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = ((c & 1u) != 0u) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
-    }
-    t[i] = c;
-  }
-  return t;
-}();
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+void store_u32(std::byte* p, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
   }
 }
 
@@ -85,37 +74,46 @@ Result<std::uint64_t> scan_for_sync(std::uint64_t from, std::uint64_t end,
 
 }  // namespace
 
-std::uint32_t crc32c(std::span<const std::byte> data) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::byte b : data) {
-    crc = kCrc32cTable[(crc ^ std::to_integer<std::uint32_t>(b)) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return ~crc;
-}
-
 Result<std::vector<std::byte>> compress_stream(std::span<const std::byte> input,
                                                const CompressionSpec& spec) {
   const std::uint64_t chunk =
       std::clamp<std::uint64_t>(spec.chunk_bytes, 512, kMaxFrameRawBytes);
+  // One allocation for the worst case of every frame: the frames are then
+  // encoded in place, with no reallocation between them.
+  const std::uint64_t frames = (input.size() + chunk - 1) / chunk;
   std::vector<std::byte> out;
-  out.reserve(input.size() / 2 + 64);
+  out.reserve(static_cast<std::size_t>(
+      frames * (kFrameHeaderBytes + slz_compress_bound(0) +
+                kFrameTrailerBytes) +
+      input.size() + input.size() / 4));
   for (std::uint64_t pos = 0; pos < input.size(); pos += chunk) {
     const std::uint64_t raw =
         std::min<std::uint64_t>(chunk, input.size() - pos);
-    const std::vector<std::byte> stream = slz_compress(
+    // Room for the frame's worst case is appended, the slz stream is written
+    // behind the header slot, and the unused tail is cut off again once the
+    // stream size is known.
+    const std::size_t at = out.size();
+    out.resize(at + kFrameHeaderBytes +
+               slz_compress_bound(static_cast<std::size_t>(raw)) +
+               kFrameTrailerBytes);
+    std::byte* const frame = out.data() + at;
+    const std::size_t comp = slz_compress_to(
         input.subspan(static_cast<std::size_t>(pos),
-                      static_cast<std::size_t>(raw)));
-    SION_RETURN_IF_ERROR(slz_validate_frame_size(stream.size()));
-    out.insert(out.end(), kFrameSync.begin(), kFrameSync.end());
-    put_u32(out, static_cast<std::uint32_t>(stream.size()));
-    put_u32(out, static_cast<std::uint32_t>(raw));
-    const std::uint32_t header_crc =
-        crc32c(std::span<const std::byte>(out).last(16));
-    put_u32(out, header_crc);
-    out.insert(out.end(), stream.begin(), stream.end());
-    put_u32(out, crc32c(stream));
+                      static_cast<std::size_t>(raw)),
+        frame + kFrameHeaderBytes);
+    SION_RETURN_IF_ERROR(slz_validate_frame_size(comp));
+    std::memcpy(frame, kFrameSync.data(), kFrameSync.size());
+    store_u32(frame + 8, static_cast<std::uint32_t>(comp));
+    store_u32(frame + 12, static_cast<std::uint32_t>(raw));
+    store_u32(frame + 16, crc32c(std::span<const std::byte>(frame, 16)));
+    store_u32(frame + kFrameHeaderBytes + comp,
+              crc32c(std::span<const std::byte>(frame + kFrameHeaderBytes,
+                                                comp)));
+    out.resize(at + kFrameHeaderBytes + comp + kFrameTrailerBytes);
   }
+  // The stream usually outlives this call (it is written, staged or sent),
+  // so it should not keep the worst-case room it was encoded in.
+  out.shrink_to_fit();
   return out;
 }
 
@@ -177,8 +175,6 @@ FrameStreamReader::FrameStreamReader(FrameIndex index, ReadAtFn read_at,
 
 Status FrameStreamReader::materialize(std::size_t frame_i) {
   const FrameEntry& e = index_.frames[frame_i];
-  cache_.assign(static_cast<std::size_t>(e.decoded_bytes), std::byte{0});
-  cache_i_ = frame_i;
   bool damaged = e.torn;
   if (!damaged) {
     std::vector<std::byte> body(
@@ -204,6 +200,10 @@ Status FrameStreamReader::materialize(std::size_t frame_i) {
       }
     }
   }
+  if (damaged) {
+    cache_.assign(static_cast<std::size_t>(e.decoded_bytes), std::byte{0});
+  }
+  cache_i_ = frame_i;
   if (!loss_counted_[frame_i] && loss_ != nullptr) {
     if (damaged) {
       loss_->frames_skipped += 1;

@@ -22,6 +22,11 @@
 // sequences / the LightweightFEC CRC-trailer frames), and all loss is
 // accounted in a StreamLossReport (ext/recovery.h) for the restart status
 // machinery rather than thrown away as an error.
+//
+// Both CRCs are CRC32C from common/crc32c.h: the SSE4.2 CRC32 instruction on
+// x86-64 CPUs that report it, portable slicing-by-8 everywhere else, picked
+// once from the CPU features seen at run time. The two paths compute the
+// same value, so encoded streams are byte-identical on every host.
 #pragma once
 
 #include <array>
@@ -53,9 +58,6 @@ inline constexpr std::uint64_t kFrameTrailerBytes = 4;
 // (one literal run), so anything claiming more is garbage, not a frame.
 inline constexpr std::uint64_t kMaxFrameRawBytes = kGiB;
 inline constexpr std::uint64_t kMaxFrameCompBytes = kGiB + 64;
-
-// Software CRC32C (Castagnoli, reflected 0x82F63B78) — no external deps.
-[[nodiscard]] std::uint32_t crc32c(std::span<const std::byte> data);
 
 // Knobs for the framed-compression stream path, carried as an optional
 // sub-spec of workloads::CheckpointSpec (and by TracerSpec).

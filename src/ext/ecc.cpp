@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "common/codec.h"
+#include "common/crc32c.h"
 #include "common/strings.h"
 #include "core/metadata.h"
-#include "ext/compress.h"
 #include "ext/gf256.h"
 #include "fs/path.h"
 #include "par/engine.h"
@@ -622,9 +622,6 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
           const std::uint64_t len = data_bytes[static_cast<std::size_t>(d)];
           if (off >= len) continue;  // past this file's end: all zeros
           const std::uint64_t want = std::min(take, len - off);
-          std::fill(buf.begin(),
-                    buf.begin() + static_cast<std::ptrdiff_t>(take),
-                    std::byte{0});
           if (data_files[static_cast<std::size_t>(d)] == nullptr) {
             SION_ASSIGN_OR_RETURN(
                 data_files[static_cast<std::size_t>(d)],
@@ -636,12 +633,13 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
                   std::span<std::byte>(buf).first(
                       static_cast<std::size_t>(want)),
                   off));
-          (void)got;  // short reads leave the pre-zeroed tail
+          // Bytes past what was read (the file's end, or a short read) are
+          // zeros and add nothing to the parity, so only `got` bytes count.
           for (std::size_t t = 0; t < targets.size(); ++t) {
             tables[t][static_cast<std::size_t>(d)].mul_add(
                 std::span<std::byte>(acc[t]),
                 std::span<const std::byte>(buf).first(
-                    static_cast<std::size_t>(take)));
+                    static_cast<std::size_t>(got)));
           }
         }
         for (std::size_t t = 0; t < targets.size(); ++t) {

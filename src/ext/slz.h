@@ -5,7 +5,15 @@
 // 5.2) compresses trace data with zlib before writing. No external
 // compression library exists in this reproduction, so slz provides the same
 // role from scratch: greedy hash-chain matching over a 64 KiB window with a
-// varint token stream. It favours simplicity and speed over ratio.
+// varint token stream. It favours speed over ratio.
+//
+// The token stream is a format: for a given input, slz_compress emits the
+// same bytes on every host and build (the match search is fixed, not tuned to
+// the CPU). Speed comes from mechanics only: tokens go through a raw pointer
+// into a buffer sized by slz_compress_bound, matches are extended eight bytes
+// at a time, and the decoder copies literal runs and non-overlapping matches
+// with memcpy, falling back to a byte loop only for self-overlapping matches.
+// No path depends on CPU features.
 //
 // Stream format (little-endian):
 //   magic "SLZ1" (4 B) | u64 uncompressed size | tokens...
@@ -32,6 +40,17 @@ inline constexpr std::size_t kSlzWindow = 64 * 1024;
 inline constexpr std::uint64_t kSlzMaxDecode = 1ULL << 40;
 
 std::vector<std::byte> slz_compress(std::span<const std::byte> input);
+
+// Upper bound on the slz stream size for `n` input bytes; see slz.cpp for
+// the proof.
+[[nodiscard]] constexpr std::size_t slz_compress_bound(std::size_t n) {
+  return 12 + n + n / 4 + 32;
+}
+
+// slz_compress into caller memory: writes the stream to `out`, which must
+// hold slz_compress_bound(input.size()) bytes, and returns the stream size.
+// The frame writers use it to encode straight into their output buffer.
+std::size_t slz_compress_to(std::span<const std::byte> input, std::byte* out);
 
 // Self-describing: the uncompressed size comes from the stream header.
 // Streams claiming more than `max_bytes` are rejected as Corrupt, and the

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"

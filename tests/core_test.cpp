@@ -153,6 +153,24 @@ TEST(MetadataTest, Meta2Roundtrip) {
   EXPECT_EQ(parsed.bytes_written, m.bytes_written);
 }
 
+TEST(MetadataTest, Meta2RejectsForgedTaskCount) {
+  FileMeta2 m;
+  m.bytes_written = {{100, 200, 0}, {50}, {}};
+  const std::vector<std::byte> good = m.serialize();
+  constexpr std::size_t kCountAt = sizeof(kMagic2);
+  const std::size_t remaining = good.size() - kCountAt - 4;
+  for (const std::uint32_t forged :
+       {0xFFFFFFFFu, static_cast<std::uint32_t>(remaining / 8 + 1)}) {
+    std::vector<std::byte> bytes = good;
+    for (std::size_t i = 0; i < 4; ++i) {  // little-endian on disk
+      bytes[kCountAt + i] = static_cast<std::byte>((forged >> (8 * i)) & 0xFF);
+    }
+    auto r = FileMeta2::parse(bytes);
+    ASSERT_FALSE(r.ok()) << forged;
+    EXPECT_EQ(r.status().code(), ErrorCode::kCorrupt) << forged;
+  }
+}
+
 TEST(MetadataTest, PhysicalFileNames) {
   EXPECT_EQ(physical_file_name("ckpt.sion", 0, 1), "ckpt.sion");
   EXPECT_EQ(physical_file_name("ckpt.sion", 0, 4), "ckpt.sion.000000");

@@ -7,10 +7,12 @@
 #include <cstring>
 
 #include "common/codec.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
 #include "ext/compress.h"
+#include "ext/gf256.h"
 #include "ext/recovery.h"
 #include "ext/slz.h"
 #include "ext/threading.h"
@@ -18,6 +20,7 @@
 #include "fs/sim/simfs.h"
 #include "par/comm.h"
 #include "par/engine.h"
+#include "workloads/tracer.h"
 
 namespace sion::ext {
 namespace {
@@ -171,6 +174,120 @@ TEST(SlzTest, OverflowingVarintRejected) {
   auto round = slz_decompress(slz_compress(in));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round.value(), in);
+}
+
+// Byte-identity pin: slz_compress output is a format, so faster mechanics
+// must not change a single byte of it. Each digest is the CRC32C (and size)
+// of the stream the original byte-at-a-time implementation produced.
+std::vector<std::byte> periodic_bytes(std::size_t period, std::size_t n,
+                                      std::uint64_t seed) {
+  std::vector<std::byte> pattern(period);
+  Rng(seed).fill_bytes(pattern);
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = pattern[i % period];
+  return out;
+}
+
+// Literal/match alternation near the output bound: a random head, a zero
+// run that pushes distances past 16 KiB (3-byte distance varints), then the
+// head again with every fifth byte replaced, so 1-byte literal runs
+// alternate with 4-byte matches.
+std::vector<std::byte> alternation_bytes() {
+  constexpr std::size_t kHead = 4000;
+  std::vector<std::byte> head(kHead);
+  Rng rng(0xA17);
+  rng.fill_bytes(head);
+  std::vector<std::byte> out = head;
+  out.resize(kHead + 16 * kKiB, std::byte{0});
+  for (std::size_t i = 0; i < kHead; ++i) {
+    out.push_back(i % 5 == 0 ? static_cast<std::byte>(rng.next_below(256))
+                             : head[i]);
+  }
+  return out;
+}
+
+TEST(SlzTest, CompressedBytesArePinned) {
+  struct Pin {
+    const char* name;
+    std::vector<std::byte> input;
+    std::size_t stream_bytes;
+    std::uint32_t crc;
+  };
+  std::vector<std::byte> random(200000);
+  Rng(0xC0FFEE).fill_bytes(random);
+  const std::vector<Pin> pins = {
+      {"trace",
+       workloads::trace_serialize(workloads::trace_generate(5, 16384, 0x51A7)),
+       137516, 0xF572A5D2u},
+      {"empty", {}, 12, 0x82F1CE3Fu},
+      {"one", {std::byte{'a'}}, 14, 0x461D2F94u},
+      {"two", {std::byte{'a'}, std::byte{'b'}}, 15, 0xEA3B5E46u},
+      {"three", {std::byte{'a'}, std::byte{'b'}, std::byte{'c'}}, 16,
+       0xC9CD057Cu},
+      {"zeros", std::vector<std::byte>(kMiB, std::byte{0}), 18, 0x0188523Du},
+      {"random", random, 200017, 0x12778820u},
+      {"period5", periodic_bytes(5, 100000, 5), 22, 0xC9DC8421u},
+      {"period17", periodic_bytes(17, 100000, 17), 34, 0x8D461B21u},
+      {"alternation", alternation_bytes(), 8565, 0x24961793u},
+  };
+  for (const Pin& pin : pins) {
+    const std::vector<std::byte> stream = slz_compress(pin.input);
+    EXPECT_LE(stream.size(), slz_compress_bound(pin.input.size())) << pin.name;
+    EXPECT_EQ(stream.size(), pin.stream_bytes) << pin.name;
+    EXPECT_EQ(crc32c(stream), pin.crc) << pin.name;
+    auto back = slz_decompress(stream);
+    ASSERT_TRUE(back.ok()) << pin.name << ": " << back.status().to_string();
+    EXPECT_EQ(back.value(), pin.input) << pin.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// kernels: dispatched CRC32C and GF(256) mul_add against their references
+// ---------------------------------------------------------------------------
+
+TEST(KernelTest, Crc32cMatchesPortableAtEveryLengthAndOffset) {
+  std::vector<std::byte> buf(1024 + 8);
+  Rng(0xC4C).fill_bytes(buf);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const auto span = std::span<const std::byte>(buf).subspan(off, len);
+      ASSERT_EQ(crc32c(span), crc32c_portable(span))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const char digits[] = "123456789";
+  EXPECT_EQ(crc32c_portable(std::as_bytes(std::span(digits, 9))), 0xE3069283u);
+}
+
+TEST(KernelTest, GfMulAddMatchesScalarGfMul) {
+  std::vector<std::byte> src_buf(97 + 3);
+  std::vector<std::byte> dst_buf(97 + 1);
+  Rng rng(0x6F);
+  rng.fill_bytes(src_buf);
+  for (int c = 0; c < 256; ++c) {
+    const GfMulTable table(static_cast<std::uint8_t>(c));
+    for (std::size_t len = 0; len <= 97; ++len) {
+      for (const std::size_t shorter : {0, 1}) {
+        // Misaligned src and dst; a shorter dst limits the bytes that change.
+        const auto src = std::span<const std::byte>(src_buf).subspan(3, len);
+        const auto dst = std::span<std::byte>(dst_buf).subspan(
+            1, len - std::min(len, shorter));
+        rng.fill_bytes(dst_buf);
+        const std::vector<std::byte> before(dst_buf);
+        table.mul_add(dst, src);
+        for (std::size_t i = 0; i < dst_buf.size(); ++i) {
+          std::byte want = before[i];
+          if (i >= 1 && i - 1 < dst.size()) {
+            want ^= static_cast<std::byte>(
+                gf_mul(static_cast<std::uint8_t>(c),
+                       std::to_integer<std::uint8_t>(src[i - 1])));
+          }
+          ASSERT_EQ(dst_buf[i], want) << "c " << c << " length " << len
+                                      << " dst " << dst.size() << " byte " << i;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
