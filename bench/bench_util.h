@@ -30,13 +30,11 @@
 
 namespace sion::bench {
 
-inline par::EngineConfig engine_config_for(const fs::SimConfig& machine,
-                                           std::size_t stack_bytes = 48 * 1024,
-                                           int shards = 1) {
+inline par::EngineConfig engine_config_for(
+    const fs::SimConfig& machine, std::size_t stack_bytes = 48 * 1024) {
   par::EngineConfig config;
   config.stack_bytes = stack_bytes;
   config.network = machine.network;
-  config.shards = shards;
   return config;
 }
 

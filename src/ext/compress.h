@@ -41,6 +41,7 @@
 #include "core/par_file.h"
 #include "core/serial_file.h"
 #include "ext/recovery.h"
+#include "ext/slz.h"
 
 namespace sion::ext {
 
@@ -54,10 +55,14 @@ inline constexpr std::array<std::byte, 8> kFrameSync = {
 inline constexpr std::uint64_t kFrameHeaderBytes = 20;
 inline constexpr std::uint64_t kFrameTrailerBytes = 4;
 // Format caps, protected by the header CRC: a frame may carry at most 1 GiB
-// of raw payload, and an slz stream for n bytes is at most n + 17 bytes
-// (one literal run), so anything claiming more is garbage, not a frame.
+// of raw payload, and its slz stream is at most slz_compress_bound of that
+// (the encoder's worst case on incompressible input), so anything claiming
+// more is garbage, not a frame.
 inline constexpr std::uint64_t kMaxFrameRawBytes = kGiB;
-inline constexpr std::uint64_t kMaxFrameCompBytes = kGiB + 64;
+inline constexpr std::uint64_t kMaxFrameCompBytes =
+    slz_compress_bound(kMaxFrameRawBytes);
+static_assert(kMaxFrameCompBytes <= UINT32_MAX,
+              "frame header stores comp_bytes as a u32");
 
 // Knobs for the framed-compression stream path, carried as an optional
 // sub-spec of workloads::CheckpointSpec (and by TracerSpec).

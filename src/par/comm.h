@@ -142,23 +142,17 @@ class Comm {
   void send_view(std::span<const std::byte> data, int dst, int tag);
   std::span<const std::byte> recv_view(int src, int tag);
 
-  // Group-to-group copy collectives (MPI_Sendrecv around the ring): every
+  // Group-to-group copy collective (MPI_Sendrecv around the ring): every
   // task ships `data` to the task `shift` comm ranks ahead (mod size) and
   // receives the matching buffer from the task `shift` ranks behind. With
   // shift = k * group_size this moves every group's payloads to its k-th
   // neighbour group in one step — the buddy-replication ship pattern
   // (ext::Buddy mirrors checkpoint chunks to another failure domain with
   // it). Collective: every member must call it with the same shift. A
-  // shift that is a multiple of size() degenerates to a local copy (or the
-  // span itself for the view variant) with no network cost.
-  //
-  // rotate_view extends the send_view contract around the ring: every
-  // sender's buffer must stay alive and unmodified until the collective
-  // that consumes the received span completes.
+  // shift that is a multiple of size() degenerates to a local copy with no
+  // network cost.
   std::vector<std::byte> rotate_bytes(std::span<const std::byte> data,
                                       int shift);
-  std::span<const std::byte> rotate_view(std::span<const std::byte> data,
-                                         int shift);
 
  private:
   Comm(Engine& engine, std::vector<TaskState*> members, NetworkModel net);
@@ -212,11 +206,6 @@ class Comm {
   std::vector<int> granks_;  // global rank per comm rank (member order)
   bool identity_ranks_ = false;   // granks_[i] == i
   bool ascending_ranks_ = false;  // strictly increasing granks_
-  // Members span more than one engine shard: the rendezvous site and the
-  // mailboxes are then shared between shard threads and every synchronizing
-  // path below runs under Engine::shard_mutex(). Comms contained in a single
-  // shard (and every comm of a sequential run) keep the lock-free paths.
-  bool cross_shard_ = false;
   NetworkModel net_;
 
   std::vector<std::uint64_t> next_op_;  // per comm rank op counter

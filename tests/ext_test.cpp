@@ -402,6 +402,48 @@ TEST(CompressTest, FrameIndexMatchesDeliveredBytes) {
   EXPECT_FALSE(reader.read_decoded(4000, slice).ok());  // past the end
 }
 
+// A frame header with the sync marker, the given lengths, and a valid CRC.
+std::vector<std::byte> forged_frame_header(std::uint32_t comp_bytes,
+                                           std::uint32_t raw_bytes) {
+  ByteWriter w;
+  w.put_bytes(kFrameSync);
+  w.put_u32(comp_bytes);
+  w.put_u32(raw_bytes);
+  w.put_u32(crc32c(w.bytes()));
+  return w.take();
+}
+
+TEST(CompressTest, FrameCapAdmitsWorstCaseSlzOutput) {
+  // A near-1-GiB chunk of incompressible data encodes to up to
+  // slz_compress_bound(kMaxFrameRawBytes) bytes; the header parser must
+  // accept exactly that much and nothing more.
+  const auto bound =
+      static_cast<std::uint32_t>(slz_compress_bound(kMaxFrameRawBytes));
+  const auto raw = static_cast<std::uint32_t>(kMaxFrameRawBytes);
+  for (const std::uint32_t comp : {bound, bound + 1}) {
+    const std::vector<std::byte> hdr = forged_frame_header(comp, raw);
+    auto read_at = [&hdr](std::uint64_t off,
+                          std::span<std::byte> o) -> Result<std::uint64_t> {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(o.size(), hdr.size() - off);
+      std::memcpy(o.data(), hdr.data() + off, static_cast<std::size_t>(n));
+      return n;
+    };
+    auto idx = index_frames(hdr.size(), read_at);
+    ASSERT_TRUE(idx.ok()) << idx.status().to_string();
+    if (comp == bound) {
+      // Accepted: a torn frame (its body is missing) of the claimed size.
+      ASSERT_EQ(idx.value().frames.size(), 1u);
+      EXPECT_EQ(idx.value().frames[0].comp_bytes, bound);
+      EXPECT_TRUE(idx.value().frames[0].torn);
+    } else {
+      // Rejected: no frame, the region is scan loss.
+      EXPECT_TRUE(idx.value().frames.empty());
+      EXPECT_FALSE(idx.value().scan_loss.clean());
+    }
+  }
+}
+
 TEST(CompressTest, LossReportMergeAndFormat) {
   StreamLossReport a{.frames_decoded = 2,
                      .frames_skipped = 1,

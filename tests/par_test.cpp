@@ -4,8 +4,12 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "fs/sim/machine.h"
+#include "fs/sim/simfs.h"
 #include "par/comm.h"
 #include "par/engine.h"
 
@@ -100,6 +104,80 @@ TEST(EngineTest, ExceptionInTaskPropagates) {
   int ok = 0;
   engine.run(2, [&](Comm&) { ++ok; });
   EXPECT_EQ(ok, 2);
+}
+
+// The suite name predates the single-scheduler engine and is kept so the
+// test keeps its identity in result logs.
+TEST(ShardedEngine, ExceptionPropagatesAndEngineStaysUsable) {
+  Engine engine;
+  EXPECT_THROW(engine.run(32,
+                          [](Comm& world) {
+                            if (world.rank() == 13) {
+                              throw std::runtime_error("boom on 13");
+                            }
+                          }),
+               std::runtime_error);
+  // The failed run must not poison the engine or the thread (RAII reset of
+  // the run bindings): a fresh run on the same engine, collectives
+  // included, completes.
+  int completions = 0;
+  engine.run(32, [&completions](Comm& world) {
+    world.allreduce_u64(1, ReduceOp::kSum);
+    if (world.rank() == 0) ++completions;
+  });
+  EXPECT_EQ(completions, 1);
+}
+
+TEST(EngineTest, ErrorChoiceIsSmallestVirtualTimeThrow) {
+  // Several ranks throw at distinct virtual times; the engine surfaces the
+  // throw with the smallest (vtime, rank) key — rank 60, which throws
+  // earliest — not the lowest rank or the last throw.
+  Engine engine;
+  try {
+    engine.run(64, [](Comm& world) {
+      const int rank = world.rank();
+      if (rank >= 5 && rank % 5 == 0) {
+        this_task()->compute(1.0e-6 * static_cast<double>(64 - rank));
+        throw std::runtime_error("rank " + std::to_string(rank));
+      }
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 60");
+  }
+}
+
+TEST(EngineTest, SimFsServesSerialCallersOutsideRun) {
+  // Serial tools drive SimFs with no engine running (this_task() is null);
+  // the same file system then serves tasks of a later run.
+  EXPECT_EQ(this_task(), nullptr);
+  fs::SimFs fs(fs::TestbedConfig());
+  auto serial = fs.create("serial.dat");
+  ASSERT_TRUE(serial.ok()) << serial.status().to_string();
+  serial.value().reset();
+  Engine engine;
+  engine.run(4, [&fs](Comm& world) {
+    auto f = fs.create("task." + std::to_string(world.rank()));
+    ASSERT_TRUE(f.ok()) << f.status().to_string();
+    world.barrier();
+  });
+  EXPECT_TRUE(fs.exists("serial.dat"));
+  EXPECT_TRUE(fs.exists("task.3"));
+}
+
+// Regression for the MADV_FREE canary false positive: the kernel may reclaim
+// (zero) a pooled slab's pages at any moment, which used to trip the stack
+// overflow check on the next engine that reused the slab. The canary is
+// re-armed on every acquisition, so a scribbled pool must be harmless.
+TEST(EngineTest, CanarySurvivesScribbledSlabPool) {
+  {
+    Engine engine;
+    engine.run(64, [](Comm& world) { world.barrier(); });
+  }  // the slab returns to the pool here
+  testing::scribble_cached_stack_slabs();
+  Engine engine;
+  engine.run(64, [](Comm& world) { world.barrier(); });
+  SUCCEED();
 }
 
 TEST(EngineTest, ManyTasksLowStack) {
@@ -475,23 +553,6 @@ TEST(RotateTest, ShiftMultipleOfSizeIsALocalCopy) {
     const auto copy = world.rotate_bytes(mine, 8);
     EXPECT_EQ(copy, mine);
     EXPECT_DOUBLE_EQ(this_task()->now(), t0);  // no network charged
-    const auto view = world.rotate_view(mine, 0);
-    EXPECT_EQ(view.data(), mine.data());  // the span itself, no copy
-  });
-}
-
-TEST(RotateTest, ViewVariantSharesTheSenderBuffer) {
-  Engine engine;
-  const std::byte* bufs[4] = {};
-  engine.run(4, [&](Comm& world) {
-    std::vector<std::byte> mine(16, static_cast<std::byte>(world.rank()));
-    bufs[world.rank()] = mine.data();
-    const auto view = world.rotate_view(mine, 1);
-    const int src = (world.rank() + 3) % 4;
-    ASSERT_EQ(view.size(), 16u);
-    EXPECT_EQ(std::to_integer<int>(view[0]), src);
-    EXPECT_EQ(view.data(), bufs[src]);  // zero-copy: the sender's bytes
-    world.barrier();  // senders keep buffers alive until consumers finish
   });
 }
 
