@@ -505,6 +505,66 @@ TEST(ParFileTest, OpenMissingFileFailsEverywhere) {
   });
 }
 
+// The 64-byte chunk recovery frame is an on-disk format that sionrepair
+// reads back, so its bytes are pinned: task 1's frame of block 1 after the
+// task wrote 70000 bytes into 64 KiB chunks (4528 bytes land in block 1).
+constexpr char kPinnedFrameHex[] =
+    "53494f4e46524d31"  // magic "SIONFRM1"
+    "0100000001000000"  // global rank, local rank
+    "0100000000000000"  // block
+    "b011000000000000"  // bytes written
+    "1cada8700898d638"  // checksum
+    "000000000000000000000000000000000000000000000000";  // zero padding
+
+std::string hex_of(std::span<const std::byte> bytes) {
+  std::string out;
+  for (const std::byte b : bytes) {
+    out += strformat("%02x", static_cast<unsigned>(b));
+  }
+  return out;
+}
+
+std::string frame_hex_at(fs::FileSystem& fs, const std::string& path, int task,
+                         std::uint64_t block) {
+  auto file = fs.open_read(path).value();
+  const FileHeader header = read_header(*file).value();
+  const FileLayout layout =
+      FileLayout::create(header.fsblksize, header.chunksizes_req,
+                         header.serialize().size())
+          .value();
+  std::vector<std::byte> frame(kChunkFrameSize);
+  EXPECT_EQ(file->pread(frame, layout.chunk_start(task, block)).value(),
+            kChunkFrameSize);
+  return hex_of(frame);
+}
+
+TEST(ChunkFrameTest, WrittenFrameBytesArePinned) {
+  fs::SimFs fs(fs::TestbedConfig());  // 64 KiB blocks
+  par::Engine engine;
+  engine.run(2, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "pinned_par.sion";
+    spec.chunksize = 64 * kKiB;
+    spec.chunk_frames = true;
+    auto open = SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(open.ok()) << open.status().to_string();
+    const std::uint64_t n = world.rank() == 1 ? 70000 : 100;
+    ASSERT_TRUE(open.value()->write(DataView::fill(std::byte{7}, n)).ok());
+    ASSERT_TRUE(open.value()->close().ok());
+  });
+  EXPECT_EQ(frame_hex_at(fs, "pinned_par.sion", 1, 1), kPinnedFrameHex);
+
+  SerialWriteSpec spec;
+  spec.filename = "pinned_serial.sion";
+  spec.chunksizes = {64 * kKiB, 64 * kKiB};
+  spec.chunk_frames = true;
+  auto serial = SionSerialFile::open_write(fs, spec).value();
+  ASSERT_TRUE(serial->seek(1, 0, 0).ok());
+  ASSERT_TRUE(serial->write(DataView::fill(std::byte{7}, 70000)).ok());
+  ASSERT_TRUE(serial->close().ok());
+  EXPECT_EQ(frame_hex_at(fs, "pinned_serial.sion", 1, 1), kPinnedFrameHex);
+}
+
 TEST(ParFileTest, CustomMappingRoundtrip) {
   fs::SimFs fs(fs::TestbedConfig());
   par::Engine engine;

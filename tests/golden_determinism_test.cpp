@@ -19,6 +19,7 @@
 #include "common/strings.h"
 #include "common/units.h"
 #include "core/api.h"
+#include "ext/buddy.h"
 #include "ext/compress.h"
 #include "ext/remap.h"
 #include "ext/staging.h"
@@ -328,6 +329,112 @@ TEST(GoldenDeterminismTest, EccProtectedCheckpointTestbed) {
   EXPECT_FALSE(fs.exists(lost));  // degraded decode, not a heal
   EXPECT_GOLDEN(0x1.6f2e03700d5e7p-6, t_write);
   EXPECT_GOLDEN(0x1.074b5544d43b2p-5, t_degraded);
+}
+
+// --- Chunk-framed SION file miniature: framed write + verified read -------
+
+// Recovery frames add one small write per chunk entry and one patch per
+// payload write; the framed path's fs op sequence and makespans are pinned
+// here because no other golden or benchmark workload enables frames.
+TEST(GoldenDeterminismTest, ChunkFramedParFileTestbed) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine(par::EngineConfig{.stack_bytes = 64 * 1024,
+                                       .network = fs::TestbedConfig().network});
+  const int n = 12;
+  const auto payload_bytes = [](int rank) {
+    return 150 * kKiB + 97 * static_cast<std::uint64_t>(rank);
+  };
+  const double t_write = makespan(engine, n, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "golden_frames.sion";
+    spec.chunksize = 40 * kKiB;
+    spec.nfiles = 3;
+    spec.chunk_frames = true;
+    auto sion = core::SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+    const auto payload =
+        pattern_payload(world.rank(), payload_bytes(world.rank()));
+    const fs::DataView all(payload);
+    ASSERT_TRUE(sion.value()->ensure_free_space(kKiB).ok());
+    ASSERT_TRUE(sion.value()->write_raw(all.subview(0, kKiB)).ok());
+    ASSERT_TRUE(
+        sion.value()->write(all.subview(kKiB, all.size() - kKiB)).ok());
+    ASSERT_TRUE(sion.value()->close().ok());
+  });
+  fs.drop_caches();
+  const double t_read = makespan(engine, n, [&](par::Comm& world) {
+    auto sion = core::SionParFile::open_read(fs, world, "golden_frames.sion");
+    ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+    std::vector<std::byte> out(payload_bytes(world.rank()));
+    auto got = sion.value()->read(out);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got.value(), out.size());
+    EXPECT_EQ(out, pattern_payload(world.rank(), out.size()));
+    ASSERT_TRUE(sion.value()->close().ok());
+  });
+  EXPECT_GOLDEN(0x1.feb6ca6f08fe6p-8, t_write);
+  EXPECT_GOLDEN(0x1.cca970ba17e1ep-8, t_read);
+}
+
+// --- Buddy-replicated checkpoint miniature: write + heal + N->M restore ---
+
+// Both buddy copy paths are pinned: the plain mode (primary through
+// SionParFile, replicas through the group-to-group mirror ship) and the
+// collective mode (every set through ext::Collective). Two of the four
+// failure domains are lost before the restart, so the heal copies two
+// replica files before ext::Remap restores on a different task count.
+TEST(GoldenDeterminismTest, BuddyProtectedCheckpointTestbed) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine(par::EngineConfig{.stack_bytes = 64 * 1024,
+                                       .network = fs::TestbedConfig().network});
+  const int n_writers = 16;
+  const int m_readers = 12;
+  const std::uint64_t chunk = 20 * kKiB + 48;  // unaligned on purpose
+  const std::uint64_t total = chunk * static_cast<std::uint64_t>(n_writers);
+  double t_write[2] = {0, 0};
+  double t_restore[2] = {0, 0};
+  for (const bool collective : {false, true}) {
+    const std::string name =
+        collective ? "golden_buddy_c.ckpt" : "golden_buddy.ckpt";
+    ext::BuddyConfig config;
+    config.replicas = 3;
+    config.num_domains = 4;
+    config.collective = collective;
+    config.collective_config.group_size = 2;
+    t_write[collective] = makespan(engine, n_writers, [&](par::Comm& world) {
+      core::ParOpenSpec spec;
+      spec.filename = name;
+      spec.chunksize = chunk;
+      const auto payload = pattern_payload(world.rank(), chunk);
+      const Status st =
+          ext::Buddy::write(fs, world, spec, config, fs::DataView(payload));
+      ASSERT_TRUE(st.ok()) << st.to_string();
+    });
+    fs.drop_caches();
+    ASSERT_TRUE(fs.remove(core::physical_file_name(name, 1, 4)).ok());
+    ASSERT_TRUE(fs.remove(core::physical_file_name(name, 2, 4)).ok());
+    t_restore[collective] = makespan(engine, m_readers, [&](par::Comm& world) {
+      const std::uint64_t me = static_cast<std::uint64_t>(world.rank());
+      const std::uint64_t msize = static_cast<std::uint64_t>(world.size());
+      const std::uint64_t lo = total * me / msize;
+      const std::uint64_t hi = total * (me + 1) / msize;
+      std::vector<std::byte> out(hi - lo);
+      auto stats =
+          ext::Buddy::restore(fs, world, name, config, out, out.size());
+      ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+      for (std::uint64_t g = lo; g < hi; ++g) {
+        const int writer = static_cast<int>(g / chunk);
+        const std::uint64_t i = g % chunk;
+        const auto expect = static_cast<std::byte>(
+            (static_cast<std::uint64_t>(writer) * 31 + i * 7 + 13) & 0xFF);
+        ASSERT_EQ(out[g - lo], expect) << "corrupt byte at offset " << g;
+      }
+    });
+  }
+  EXPECT_GOLDEN(0x1.03db4b3a9cfc2p-6, t_write[0]);
+  EXPECT_GOLDEN(0x1.049f89686121dp-5, t_restore[0]);
+  EXPECT_GOLDEN(0x1.07212ad5be238p-6, t_write[1]);
+  EXPECT_GOLDEN(0x1.04b966350a9f8p-5, t_restore[1]);
 }
 
 // --- Pure-engine scheduler stress: uneven compute + collectives ------------
