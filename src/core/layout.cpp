@@ -5,7 +5,7 @@
 namespace sion::core {
 
 Result<FileLayout> FileLayout::create(
-    std::uint64_t fsblksize, std::vector<std::uint64_t> chunksizes_req,
+    std::uint64_t fsblksize, const std::vector<std::uint64_t>& chunksizes_req,
     std::uint64_t meta1_bytes) {
   if (fsblksize == 0) return InvalidArgument("fsblksize must be positive");
   if (chunksizes_req.empty()) {
@@ -13,11 +13,10 @@ Result<FileLayout> FileLayout::create(
   }
   FileLayout layout;
   layout.fsblksize_ = fsblksize;
-  layout.requested_ = std::move(chunksizes_req);
-  layout.aligned_.reserve(layout.requested_.size());
-  layout.prefix_.reserve(layout.requested_.size());
+  layout.aligned_.reserve(chunksizes_req.size());
+  layout.prefix_.reserve(chunksizes_req.size());
   std::uint64_t running = 0;
-  for (const std::uint64_t req : layout.requested_) {
+  for (const std::uint64_t req : chunksizes_req) {
     if (req == 0) return InvalidArgument("chunk size must be positive");
     // "not to waste any space without necessity, the chunk size is chosen to
     // be a multiple of the file-system block size" (paper 3.1).

@@ -27,19 +27,17 @@ class FileLayout {
  public:
   // `chunksizes_req` are the per-local-task requested chunk sizes;
   // `meta1_bytes` is the serialized size of metablock 1.
-  static Result<FileLayout> create(std::uint64_t fsblksize,
-                                   std::vector<std::uint64_t> chunksizes_req,
-                                   std::uint64_t meta1_bytes);
+  static Result<FileLayout> create(
+      std::uint64_t fsblksize,
+      const std::vector<std::uint64_t>& chunksizes_req,
+      std::uint64_t meta1_bytes);
 
   [[nodiscard]] int ntasks() const {
     return static_cast<int>(aligned_.size());
   }
   [[nodiscard]] std::uint64_t fsblksize() const { return fsblksize_; }
 
-  // Requested and block-aligned chunk size of local task `t`.
-  [[nodiscard]] std::uint64_t requested_chunksize(int t) const {
-    return requested_[static_cast<std::size_t>(t)];
-  }
+  // Block-aligned chunk size of local task `t`.
   [[nodiscard]] std::uint64_t chunksize(int t) const {
     return aligned_[static_cast<std::size_t>(t)];
   }
@@ -69,7 +67,6 @@ class FileLayout {
   std::uint64_t fsblksize_ = 0;
   std::uint64_t data_start_ = 0;
   std::uint64_t block_span_ = 0;
-  std::vector<std::uint64_t> requested_;
   std::vector<std::uint64_t> aligned_;
   std::vector<std::uint64_t> prefix_;
 };

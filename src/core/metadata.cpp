@@ -7,6 +7,22 @@
 
 namespace sion::core {
 
+namespace {
+
+// The bytes-written field and the checksum: the part a patch rewrites.
+constexpr std::size_t kFramePatchAt = 24;
+constexpr std::size_t kFramePatchBytes = 16;
+
+Status pwrite_at(fs::File& file, std::span<const std::byte> bytes,
+                 std::uint64_t offset) {
+  SION_ASSIGN_OR_RETURN(const std::uint64_t n,
+                        file.pwrite(fs::DataView(bytes), offset));
+  (void)n;
+  return Status::Ok();
+}
+
+}  // namespace
+
 std::vector<std::byte> FileHeader::serialize() const {
   ByteWriter w;
   w.put_bytes(std::span<const std::byte>(
@@ -103,6 +119,15 @@ Result<FileMeta2> FileMeta2::parse(std::span<const std::byte> bytes) {
   return m;
 }
 
+std::uint64_t bytes_from(std::span<const std::uint64_t> chunk_bytes,
+                         std::uint64_t block, std::uint64_t pos) {
+  std::uint64_t total = 0;
+  for (std::uint64_t b = block; b < chunk_bytes.size(); ++b) {
+    total += chunk_bytes[b] - (b == block ? pos : 0);
+  }
+  return total;
+}
+
 Result<FileHeader> read_header(fs::File& file) {
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, file.stat());
   // Metablock 1 never exceeds the data_start, which is <= header size
@@ -139,22 +164,74 @@ Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header) {
   SION_ASSIGN_OR_RETURN(const std::uint64_t got,
                         file.pread(buf, header.meta2_offset));
   buf.resize(got);
-  return FileMeta2::parse(buf);
+  SION_ASSIGN_OR_RETURN(FileMeta2 meta2, FileMeta2::parse(buf));
+  if (meta2.bytes_written.size() != header.ntasks) {
+    return Corrupt(strformat("metablock 2 lists %zu tasks but metablock 1 "
+                             "lists %u",
+                             meta2.bytes_written.size(), header.ntasks));
+  }
+  return meta2;
 }
 
-Status write_meta2_and_trailer(fs::File& file, std::uint64_t meta2_offset,
-                               std::uint64_t nblocks, const FileMeta2& meta2) {
-  const std::vector<std::byte> blob = meta2.serialize();
-  SION_ASSIGN_OR_RETURN(std::uint64_t n,
-                        file.pwrite(fs::DataView(blob), meta2_offset));
-  (void)n;
+Status write_meta2_and_trailer(fs::File& file, std::uint64_t data_start,
+                               std::uint64_t block_span,
+                               const FileMeta2& meta2) {
+  const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
+  const std::uint64_t meta2_offset = data_start + nblocks * block_span;
+  SION_RETURN_IF_ERROR(pwrite_at(file, meta2.serialize(), meta2_offset));
   ByteWriter trailer;
   trailer.put_u64(nblocks);
   trailer.put_u64(meta2_offset);
-  SION_ASSIGN_OR_RETURN(
-      n, file.pwrite(fs::DataView(trailer.bytes()), kTrailerNblocksOffset));
-  (void)n;
-  return Status::Ok();
+  return pwrite_at(file, trailer.bytes(), kTrailerNblocksOffset);
+}
+
+std::vector<std::byte> encode_chunk_frame(const ChunkFrame& frame) {
+  ByteWriter w;
+  w.put_bytes(std::span<const std::byte>(
+      reinterpret_cast<const std::byte*>(kChunkFrameMagic),
+      sizeof(kChunkFrameMagic)));
+  w.put_u32(frame.grank);
+  w.put_u32(frame.lrank);
+  w.put_u64(frame.block);
+  w.put_u64(frame.bytes_written);
+  w.put_u64(chunk_frame_checksum(frame.grank, frame.lrank, frame.block,
+                                 frame.bytes_written));
+  w.pad_to(kChunkFrameSize);
+  return w.take();
+}
+
+Result<ChunkFrame> parse_chunk_frame(std::span<const std::byte> bytes) {
+  if (bytes.size() < kChunkFrameSize) return Corrupt("short frame");
+  if (std::memcmp(bytes.data(), kChunkFrameMagic, sizeof(kChunkFrameMagic)) !=
+      0) {
+    return Corrupt("no frame magic");
+  }
+  ByteReader r(bytes.subspan(sizeof(kChunkFrameMagic)));
+  ChunkFrame f;
+  SION_ASSIGN_OR_RETURN(f.grank, r.get_u32());
+  SION_ASSIGN_OR_RETURN(f.lrank, r.get_u32());
+  SION_ASSIGN_OR_RETURN(f.block, r.get_u64());
+  SION_ASSIGN_OR_RETURN(f.bytes_written, r.get_u64());
+  SION_ASSIGN_OR_RETURN(const std::uint64_t checksum, r.get_u64());
+  if (checksum !=
+      chunk_frame_checksum(f.grank, f.lrank, f.block, f.bytes_written)) {
+    return Corrupt("frame checksum mismatch (torn or bit-flipped frame)");
+  }
+  return f;
+}
+
+Status write_chunk_frame(fs::File& file, std::uint64_t offset,
+                         const ChunkFrame& frame) {
+  return pwrite_at(file, encode_chunk_frame(frame), offset);
+}
+
+Status patch_chunk_frame(fs::File& file, std::uint64_t offset,
+                         const ChunkFrame& frame) {
+  const std::vector<std::byte> bytes = encode_chunk_frame(frame);
+  return pwrite_at(
+      file, std::span<const std::byte>(bytes).subspan(kFramePatchAt,
+                                                      kFramePatchBytes),
+      offset + kFramePatchAt);
 }
 
 std::string physical_file_name(const std::string& base, int filenum,

@@ -29,10 +29,25 @@ inline constexpr std::uint8_t kFlagChunkFrames = 0x01;
 inline constexpr std::uint64_t kTrailerNblocksOffset = 16;
 inline constexpr std::uint64_t kTrailerMeta2Offset = 24;
 
-// Size of the per-chunk recovery frame when kFlagChunkFrames is set; the
-// frame occupies the first bytes of every chunk, shrinking its usable
-// capacity (see src/ext/recovery.h).
+// The per-chunk recovery frame written when kFlagChunkFrames is set: it
+// occupies the first kChunkFrameSize bytes of every chunk, shrinking its
+// usable capacity (see src/ext/recovery.h). On disk, little-endian:
+//
+//   0 kChunkFrameMagic | 8 u32 global rank | 12 u32 local rank |
+//   16 u64 block | 24 u64 bytes written | 32 u64 checksum | 40 zeros
+//
+// The writer keeps the bytes-written field and the checksum patched as the
+// chunk fills.
 inline constexpr std::uint64_t kChunkFrameSize = 64;
+inline constexpr char kChunkFrameMagic[8] = {'S', 'I', 'O', 'N',
+                                             'F', 'R', 'M', '1'};
+
+struct ChunkFrame {
+  std::uint32_t grank = 0;
+  std::uint32_t lrank = 0;
+  std::uint64_t block = 0;
+  std::uint64_t bytes_written = 0;
+};
 
 // Integrity checksum over a chunk frame's fields, stored in the frame and
 // kept in step with every bytes-written patch: metablock-2 recovery must
@@ -43,7 +58,7 @@ inline std::uint64_t chunk_frame_checksum(std::uint32_t grank,
                                           std::uint32_t lrank,
                                           std::uint64_t block,
                                           std::uint64_t bytes_written) {
-  std::uint64_t h = 0x53494F4E46524D31ULL;  // "SIONFRM1"
+  std::uint64_t h = 0x53494F4E46524D31ULL;  // the magic, read big-endian
   for (const std::uint64_t v :
        {static_cast<std::uint64_t>(grank) << 32 | lrank, block,
         bytes_written}) {
@@ -53,6 +68,22 @@ inline std::uint64_t chunk_frame_checksum(std::uint32_t grank,
   }
   return h;
 }
+
+// The full kChunkFrameSize-byte frame.
+std::vector<std::byte> encode_chunk_frame(const ChunkFrame& frame);
+
+// Parse a frame; kCorrupt when it is short, or its magic or checksum
+// disagrees (torn or bit-flipped).
+Result<ChunkFrame> parse_chunk_frame(std::span<const std::byte> bytes);
+
+// Write the whole frame at `offset`, the first byte of its chunk.
+Status write_chunk_frame(fs::File& file, std::uint64_t offset,
+                         const ChunkFrame& frame);
+
+// Rewrite only the bytes-written field and the checksum of the frame at
+// `offset`.
+Status patch_chunk_frame(fs::File& file, std::uint64_t offset,
+                         const ChunkFrame& frame);
 
 struct FileHeader {
   std::uint32_t version = kFormatVersion;
@@ -79,16 +110,24 @@ struct FileMeta2 {
   static Result<FileMeta2> parse(std::span<const std::byte> bytes);
 };
 
+// Payload bytes a task's per-chunk usage (one row of metablock 2) holds
+// from byte `pos` of chunk `block` on.
+std::uint64_t bytes_from(std::span<const std::uint64_t> chunk_bytes,
+                         std::uint64_t block = 0, std::uint64_t pos = 0);
+
 // Read and parse metablock 1 from an open physical file.
 Result<FileHeader> read_header(fs::File& file);
 
-// Read and parse metablock 2 (requires header.meta2_offset != 0).
+// Read and parse metablock 2 (requires header.meta2_offset != 0); kCorrupt
+// when it lists a different number of tasks than `header`.
 Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header);
 
-// Write metablock 2 at its position and patch the trailer fields of
-// metablock 1 in place.
-Status write_meta2_and_trailer(fs::File& file, std::uint64_t meta2_offset,
-                               std::uint64_t nblocks, const FileMeta2& meta2);
+// Write metablock 2 behind the last block `meta2` uses (at least one) of a
+// file whose data starts at `data_start` in blocks of `block_span` bytes,
+// and patch the trailer fields of metablock 1 in place.
+Status write_meta2_and_trailer(fs::File& file, std::uint64_t data_start,
+                               std::uint64_t block_span,
+                               const FileMeta2& meta2);
 
 // Name of physical file `filenum` of a multifile set with `nfiles` files:
 // the base name itself for a single file, "<name>.<%06u>" otherwise.

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
 #include "common/units.h"
-#include "fs/path.h"
 
 namespace sion::core {
 
 namespace {
-
-constexpr char kFrameMagic[8] = {'S', 'I', 'O', 'N', 'F', 'R', 'M', '1'};
 
 // Shared wording for the par::share_status* agreement helpers: a failure on
 // the file-local master or on another physical file must surface on every
@@ -23,139 +19,52 @@ constexpr char kOpenFailed[] =
 
 }  // namespace
 
+// Both open directions end here, with the task's placement and its view
+// from the shared protocol.
+SionParFile::SionParFile(par::Comm& gcom, FilePlacement place, ChunkView view,
+                         bool writable)
+    : gcom_(&gcom),
+      place_(std::move(place)),
+      view_(std::move(view)),
+      writable_(writable),
+      frames_((view_.flags & kFlagChunkFrames) != 0),
+      capacity_(view_.aligned_chunksize() -
+                (frames_ ? kChunkFrameSize : 0)) {}
+
 // ---------------------------------------------------------------------------
 // open for writing
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
     fs::FileSystem& fs, par::Comm& gcom, const ParOpenSpec& spec) {
-  const int grank = gcom.rank();
-  const int gsize = gcom.size();
   if (spec.chunksize == 0) {
     return InvalidArgument("chunksize must be positive");
   }
   SION_ASSIGN_OR_RETURN(
       const FileMap map,
-      FileMap::make(spec.mapping, gsize, spec.nfiles,
+      FileMap::make(spec.mapping, gcom.size(), spec.nfiles,
                     spec.custom_file_of_rank));
-
-  auto out = std::unique_ptr<SionParFile>(new SionParFile());
-  out->fs_ = &fs;
-  out->gcom_ = &gcom;
-  out->writable_ = true;
-  out->frames_ = spec.chunk_frames;
-  out->nfiles_ = map.nfiles();
-  out->filenum_ = map.file_of(grank);
-  out->path_ =
-      physical_file_name(spec.filename, out->filenum_, map.nfiles());
-
-  // One local communicator per physical file (paper: gcom -> lcom split).
-  out->lcom_ = gcom.split(out->filenum_, grank);
-  SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
-  par::Comm& lcom = *out->lcom_;
-  out->lrank_ = lcom.rank();
-  const bool master = out->lrank_ == 0;
-
-  // The master detects the file-system block size (the paper's fstat()),
-  // then everyone aligns their chunk to it.
-  Status st;
-  std::uint64_t fsblksize = spec.fsblksize;
-  if (fsblksize == 0) {
-    if (master) {
-      auto detected = fs.block_size(fs::parent(out->path_));
-      if (detected.ok()) {
-        fsblksize = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
-    fsblksize = lcom.bcast_u64(fsblksize, 0);
-  }
-  out->fsblksize_ = fsblksize;
-  if (!is_power_of_two(fsblksize)) {
-    return InvalidArgument("file-system block size must be a power of two");
-  }
-
-  // Collective metadata exchange: chunk sizes and global ranks to the
-  // file-local master.
-  const auto chunksizes = lcom.gather_u64(spec.chunksize, 0);
-  const auto granks =
-      lcom.gather_u64(static_cast<std::uint64_t>(grank), 0);
-
-  // Master creates the physical file and writes metablock 1.
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  st = Status::Ok();
-  if (master) {
-    FileHeader header;
-    header.flags = spec.chunk_frames ? kFlagChunkFrames : 0;
-    header.fsblksize = fsblksize;
-    header.ntasks = static_cast<std::uint32_t>(lcom.size());
-    header.nfiles = static_cast<std::uint32_t>(map.nfiles());
-    header.filenum = static_cast<std::uint32_t>(out->filenum_);
-    header.global_ranks = granks;
-    header.chunksizes_req = chunksizes;
-    const std::vector<std::byte> meta1 = header.serialize();
-    auto layout =
-        FileLayout::create(fsblksize, chunksizes, meta1.size());
-    if (!layout.ok()) {
-      st = layout.status();
-    } else {
-      out->meta1_end_ = meta1.size();
-      data_start = layout.value().data_start();
-      block_span = layout.value().block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(lcom.size()));
-      for (int t = 0; t < lcom.size(); ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
-            layout.value().chunk_offset_in_block(t);
-      }
-      auto created = fs.create(out->path_);
-      if (!created.ok()) {
-        st = created.status();
-      } else {
-        out->file_ = std::move(created).value();
-        auto wrote = out->file_->pwrite(fs::DataView(meta1), 0);
-        if (!wrote.ok()) st = wrote.status();
-      }
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
-
-  // Everyone learns where its chunks live; no further communication is
-  // needed for any later chunk (paper 3.1). The two geometry broadcasts
-  // fuse into one suspension (bit-identical virtual cost, see bcast_u64_seq).
-  std::uint64_t geom[2] = {data_start, block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  data_start = geom[0];
-  block_span = geom[1];
-  const std::uint64_t my_offset = lcom.scatter_u64(chunk_offsets, 0);
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->chunk_start_block0_ = data_start + my_offset;
-  const std::uint64_t aligned = round_up(spec.chunksize, fsblksize);
-  const std::uint64_t frame = spec.chunk_frames ? kChunkFrameSize : 0;
-  if (aligned <= frame) {
+  FilePlacement place = place_on_file(gcom, spec.filename,
+                                      map.file_of(gcom.rank()), map.nfiles());
+  SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
+                        agree_block_size(fs, *place.lcom, &gcom, place.path,
+                                         spec.fsblksize, kOpenFailed));
+  if (spec.chunk_frames &&
+      round_up(spec.chunksize, fsblksize) <= kChunkFrameSize) {
     return InvalidArgument("chunk too small for recovery frame");
   }
-  out->capacity_ = aligned - frame;
 
-  // Non-masters open the (hot) physical file — the cheap path that makes
-  // SIONlib creation orders of magnitude faster than task-local files.
-  st = Status::Ok();
-  if (!master) {
-    auto opened = fs.open_rw(out->path_);
-    if (!opened.ok()) {
-      st = opened.status();
-    } else {
-      out->file_ = std::move(opened).value();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
+  CreateSpec create;
+  create.flags = spec.chunk_frames ? kFlagChunkFrames : 0;
+  create.fsblksize = fsblksize;
+  create.chunksize = spec.chunksize;
+  create.what = kOpenFailed;
+  SION_ASSIGN_OR_RETURN(ChunkView view,
+                        create_physical_file(fs, gcom, place, create));
+  auto out = std::unique_ptr<SionParFile>(
+      new SionParFile(gcom, std::move(place), std::move(view), true));
 
-  out->chunk_bytes_.assign(1, 0);
-  st = Status::Ok();
+  Status st;
   if (out->frames_) st = out->write_frame(0);
   // The agreement doubles as the closing barrier: a failed first-frame
   // write (e.g. quota exceeded) on any task must fail the open everywhere.
@@ -174,168 +83,22 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
 
 Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
     fs::FileSystem& fs, par::Comm& gcom, const std::string& name) {
-  const int grank = gcom.rank();
-  const int gsize = gcom.size();
-
-  // The global master discovers the multifile set and the rank->file map
-  // from the per-file headers, then *scatters* it — each task learns only
-  // its own file index, keeping the collective O(ntasks) total instead of
-  // O(ntasks) per task.
-  Status st;
-  std::uint64_t nfiles_u64 = 0;
-  std::vector<std::uint64_t> file_of_rank;  // master only
-  if (grank == 0) {
-    st = [&]() -> Status {
-      std::string first = name;
-      if (!fs.exists(first)) first = physical_file_name(name, 0, 2);
-      SION_ASSIGN_OR_RETURN(auto file0, fs.open_read(first));
-      SION_ASSIGN_OR_RETURN(const FileHeader h0, read_header(*file0));
-      const int nfiles = static_cast<int>(h0.nfiles);
-      std::uint64_t total_tasks = 0;
-      file_of_rank.assign(static_cast<std::size_t>(gsize), 0);
-      for (int f = 0; f < nfiles; ++f) {
-        FileHeader h = h0;
-        if (f != 0) {
-          SION_ASSIGN_OR_RETURN(
-              auto file, fs.open_read(physical_file_name(name, f, nfiles)));
-          SION_ASSIGN_OR_RETURN(h, read_header(*file));
-        }
-        total_tasks += h.ntasks;
-        for (const std::uint64_t r : h.global_ranks) {
-          if (r >= static_cast<std::uint64_t>(gsize)) {
-            return InvalidArgument(strformat(
-                "multifile was written by rank %llu but only %d tasks "
-                "opened it (task count must match the writer)",
-                static_cast<unsigned long long>(r), gsize));
-          }
-          file_of_rank[r] = static_cast<std::uint64_t>(f);
-        }
-      }
-      if (total_tasks != static_cast<std::uint64_t>(gsize)) {
-        return InvalidArgument(strformat(
-            "multifile holds %llu logical files but %d tasks opened it",
-            static_cast<unsigned long long>(total_tasks), gsize));
-      }
-      nfiles_u64 = static_cast<std::uint64_t>(nfiles);
-      return Status::Ok();
-    }();
-  }
-  SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kOpenFailed));
-
-  const std::uint64_t nfiles = gcom.bcast_u64(nfiles_u64, 0);
-  const std::uint64_t my_file = gcom.scatter_u64(file_of_rank, 0);
-  file_of_rank.clear();
-  file_of_rank.shrink_to_fit();
-
-  auto out = std::unique_ptr<SionParFile>(new SionParFile());
-  out->fs_ = &fs;
-  out->gcom_ = &gcom;
-  out->writable_ = false;
-  out->nfiles_ = static_cast<int>(nfiles);
-  out->filenum_ = static_cast<int>(my_file);
-  out->path_ = physical_file_name(name, out->filenum_, out->nfiles_);
-
-  out->lcom_ = gcom.split(out->filenum_, grank);
-  SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
-  par::Comm& lcom = *out->lcom_;
-  out->lrank_ = lcom.rank();
-  const bool master = out->lrank_ == 0;
-
-  // The file-local master parses both metablocks and scatters each task's
-  // view: geometry plus the bytes-actually-written array per chunk.
-  st = Status::Ok();
-  std::uint64_t fsblksize = 0;
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::uint64_t flags = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> requested;
-  std::vector<std::byte> blobs_flat;
-  std::vector<std::uint64_t> blob_sizes;
-  if (master) {
-    st = [&]() -> Status {
-      SION_ASSIGN_OR_RETURN(auto file, fs.open_read(out->path_));
-      SION_ASSIGN_OR_RETURN(const FileHeader header, read_header(*file));
-      if (static_cast<int>(header.ntasks) != lcom.size()) {
-        return InvalidArgument(
-            strformat("physical file %s holds %u logical files but %d tasks "
-                      "opened it",
-                      out->path_.c_str(), header.ntasks, lcom.size()));
-      }
-      SION_ASSIGN_OR_RETURN(const FileMeta2 meta2, read_meta2(*file, header));
-      if (meta2.bytes_written.size() != header.ntasks) {
-        return Corrupt("metablock 2 task count mismatch");
-      }
-      const std::vector<std::byte> meta1 = header.serialize();
-      SION_ASSIGN_OR_RETURN(
-          const FileLayout layout,
-          FileLayout::create(header.fsblksize, header.chunksizes_req,
-                             meta1.size()));
-      fsblksize = header.fsblksize;
-      flags = header.flags;
-      data_start = layout.data_start();
-      block_span = layout.block_span();
-      chunk_offsets.resize(header.ntasks);
-      requested.resize(header.ntasks);
-      blob_sizes.resize(header.ntasks);
-      // One flat buffer for every task's bytes-written array, sliced by the
-      // scatter below — not one heap blob per task.
-      ByteWriter w;
-      for (std::uint32_t t = 0; t < header.ntasks; ++t) {
-        chunk_offsets[t] = layout.chunk_offset_in_block(static_cast<int>(t));
-        requested[t] = header.chunksizes_req[t];
-        const std::size_t at = w.size();
-        w.put_u64_array(meta2.bytes_written[t]);
-        blob_sizes[t] = w.size() - at;
-      }
-      blobs_flat = w.take();
-      out->file_ = std::move(file);
-      return Status::Ok();
-    }();
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
-
-  std::uint64_t geom[4] = {fsblksize, flags, data_start, block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  fsblksize = geom[0];
-  flags = geom[1];
-  data_start = geom[2];
-  block_span = geom[3];
-  const auto [my_offset, my_request] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
-  const std::vector<std::byte> my_blob =
-      lcom.scatterv_bytes_flat(blobs_flat, blob_sizes, 0);
-  ByteReader blob_reader(my_blob);
-  SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
-
-  out->fsblksize_ = fsblksize;
-  out->frames_ = (flags & kFlagChunkFrames) != 0;
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->chunk_start_block0_ = data_start + my_offset;
-  const std::uint64_t aligned = round_up(my_request, fsblksize);
-  out->capacity_ = aligned - (out->frames_ ? kChunkFrameSize : 0);
-  out->chunk_bytes_ = std::move(chunk_bytes);
-  if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
-
-  st = Status::Ok();
-  if (!master) {
-    auto opened = fs.open_read(out->path_);
-    if (!opened.ok()) {
-      st = opened.status();
-    } else {
-      out->file_ = std::move(opened).value();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
-
+  SION_ASSIGN_OR_RETURN(FilePlacement place,
+                        place_in_multifile(fs, gcom, name, kOpenFailed));
+  OpenReadSpec open;
+  open.allowed_flags = kFlagChunkFrames;
+  open.what = kOpenFailed;
+  SION_ASSIGN_OR_RETURN(ChunkView view,
+                        open_physical_file(fs, gcom, place, open));
+  auto out = std::unique_ptr<SionParFile>(
+      new SionParFile(gcom, std::move(place), std::move(view), false));
   gcom.barrier();
   return out;
 }
 
 SionParFile::~SionParFile() {
   if (!closed_ && writable_) {
-    SION_LOG_WARN << "SION file " << path_
+    SION_LOG_WARN << "SION file " << place_.path
                   << " destroyed without collective close; metablock 2 was "
                      "not written (sionrepair can reconstruct it if chunk "
                      "frames are enabled)";
@@ -346,38 +109,22 @@ SionParFile::~SionParFile() {
 // recovery frames
 // ---------------------------------------------------------------------------
 
+ChunkFrame SionParFile::frame(std::uint64_t block) const {
+  return ChunkFrame{static_cast<std::uint32_t>(gcom_->rank()),
+                    static_cast<std::uint32_t>(place_.lcom->rank()), block,
+                    view_.chunk_bytes[block]};
+}
+
 Status SionParFile::write_frame(std::uint64_t block) {
-  ByteWriter w;
-  w.put_bytes(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(kFrameMagic), sizeof(kFrameMagic)));
-  w.put_u32(static_cast<std::uint32_t>(gcom_->rank()));
-  w.put_u32(static_cast<std::uint32_t>(lrank_));
-  w.put_u64(block);
-  w.put_u64(0);  // bytes written in this chunk; patched later
-  w.put_u64(chunk_frame_checksum(static_cast<std::uint32_t>(gcom_->rank()),
-                                 static_cast<std::uint32_t>(lrank_), block,
-                                 0));
-  w.pad_to(kChunkFrameSize);
-  const std::uint64_t frame_offset =
-      chunk_file_offset(block) - kChunkFrameSize;
-  SION_ASSIGN_OR_RETURN(std::uint64_t n,
-                        file_->pwrite(fs::DataView(w.bytes()), frame_offset));
-  (void)n;
-  return Status::Ok();
+  return write_chunk_frame(*view_.file,
+                           chunk_file_offset(block) - kChunkFrameSize,
+                           frame(block));
 }
 
 Status SionParFile::patch_frame(std::uint64_t block) {
-  ByteWriter w;
-  w.put_u64(chunk_bytes_[block]);
-  w.put_u64(chunk_frame_checksum(static_cast<std::uint32_t>(gcom_->rank()),
-                                 static_cast<std::uint32_t>(lrank_), block,
-                                 chunk_bytes_[block]));
-  const std::uint64_t field_offset =
-      chunk_file_offset(block) - kChunkFrameSize + 24;
-  SION_ASSIGN_OR_RETURN(std::uint64_t n,
-                        file_->pwrite(fs::DataView(w.bytes()), field_offset));
-  (void)n;
-  return Status::Ok();
+  return patch_chunk_frame(*view_.file,
+                           chunk_file_offset(block) - kChunkFrameSize,
+                           frame(block));
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +135,7 @@ Status SionParFile::advance_chunk_write() {
   if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
   ++block_;
   pos_ = 0;
-  chunk_bytes_.push_back(0);
+  view_.chunk_bytes.push_back(0);
   if (frames_) SION_RETURN_IF_ERROR(write_frame(block_));
   return Status::Ok();
 }
@@ -418,9 +165,9 @@ Result<std::uint64_t> SionParFile::write_raw(fs::DataView data) {
   }
   SION_ASSIGN_OR_RETURN(
       const std::uint64_t n,
-      file_->pwrite(data, chunk_file_offset(block_) + pos_));
+      view_.file->pwrite(data, chunk_file_offset(block_) + pos_));
   pos_ += n;
-  chunk_bytes_[block_] += n;
+  view_.chunk_bytes[block_] += n;
   // Keep the recovery frame current after every write: this is what makes a
   // crash *between* writes recoverable (the paper's robustness plan), at the
   // cost of one small extra write per call (measured in bench_ablation).
@@ -438,10 +185,10 @@ Result<std::uint64_t> SionParFile::write(fs::DataView data) {
         std::min(capacity_ - pos_, data.size() - done);
     SION_ASSIGN_OR_RETURN(
         const std::uint64_t n,
-        file_->pwrite(data.subview(done, take),
+        view_.file->pwrite(data.subview(done, take),
                       chunk_file_offset(block_) + pos_));
     pos_ += n;
-    chunk_bytes_[block_] += n;
+    view_.chunk_bytes[block_] += n;
     done += n;
     if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
   }
@@ -455,8 +202,8 @@ Result<std::uint64_t> SionParFile::write(fs::DataView data) {
 bool SionParFile::eof() const {
   std::uint64_t b = block_;
   std::uint64_t p = pos_;
-  while (b < chunk_bytes_.size()) {
-    if (p < chunk_bytes_[b]) return false;
+  while (b < view_.chunk_bytes.size()) {
+    if (p < view_.chunk_bytes[b]) return false;
     ++b;
     p = 0;
   }
@@ -464,8 +211,8 @@ bool SionParFile::eof() const {
 }
 
 std::uint64_t SionParFile::bytes_avail_in_chunk() const {
-  if (block_ >= chunk_bytes_.size()) return 0;
-  return chunk_bytes_[block_] - pos_;
+  if (block_ >= view_.chunk_bytes.size()) return 0;
+  return view_.chunk_bytes[block_] - pos_;
 }
 
 Result<std::uint64_t> SionParFile::read_raw(std::span<std::byte> out) {
@@ -475,7 +222,8 @@ Result<std::uint64_t> SionParFile::read_raw(std::span<std::byte> out) {
   if (want == 0) return static_cast<std::uint64_t>(0);
   SION_ASSIGN_OR_RETURN(
       const std::uint64_t n,
-      file_->pread(out.subspan(0, want), chunk_file_offset(block_) + pos_));
+      view_.file->pread(out.subspan(0, want),
+                        chunk_file_offset(block_) + pos_));
   pos_ += n;
   return n;
 }
@@ -508,7 +256,7 @@ Status SionParFile::read_skip(std::uint64_t nbytes) {
     }
     const std::uint64_t take = std::min(nbytes - done, avail);
     SION_RETURN_IF_ERROR(
-        file_->pread_discard(take, chunk_file_offset(block_) + pos_));
+        view_.file->pread_discard(take, chunk_file_offset(block_) + pos_));
     pos_ += take;
     done += take;
   }
@@ -521,29 +269,16 @@ Status SionParFile::read_skip(std::uint64_t nbytes) {
 
 Status SionParFile::close() {
   if (closed_) return FailedPrecondition("file already closed");
-  par::Comm& lcom = *lcom_;
+  par::Comm& lcom = *place_.lcom;
   if (writable_) {
     if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
-    // "the master collects the number of bytes from each task that was
-    // effectively written and stores it in the metadata block" (paper 3.1).
-    const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
-    Status st;
-    if (lrank_ == 0) {
-      FileMeta2 meta2;
-      meta2.bytes_written.resize(static_cast<std::size_t>(lcom.size()));
-      for (int t = 0; t < lcom.size(); ++t) {
-        const auto piece = all.of(t);
-        meta2.bytes_written[static_cast<std::size_t>(t)]
-            .assign(piece.begin(), piece.end());
-      }
-      const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
-      const std::uint64_t meta2_offset =
-          data_start_ + nblocks * block_span_;
-      st = write_meta2_and_trailer(*file_, meta2_offset, nblocks, meta2);
-    }
-    SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed));
+    const Status st =
+        write_chunk_usage(lcom, view_.file.get(), view_.data_start,
+                          view_.block_span, view_.chunk_bytes);
+    SION_RETURN_IF_ERROR(
+        par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed));
   }
-  file_.reset();
+  view_.file.reset();
   closed_ = true;
   gcom_->barrier();
   return Status::Ok();
@@ -554,30 +289,15 @@ Status SionParFile::close() {
 // ---------------------------------------------------------------------------
 
 std::uint64_t SionParFile::bytes_written_total() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : chunk_bytes_) total += b;
-  return total;
+  return bytes_from(view_.chunk_bytes);
 }
 
 std::uint64_t SionParFile::bytes_remaining_total() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t b = block_; b < chunk_bytes_.size(); ++b) {
-    total += chunk_bytes_[b] - (b == block_ ? pos_ : 0);
-  }
-  return total;
+  return bytes_from(view_.chunk_bytes, block_, pos_);
 }
 
 Result<std::vector<std::byte>> SionParFile::read_remaining() {
-  const std::uint64_t total = bytes_remaining_total();
-  std::vector<std::byte> out(static_cast<std::size_t>(total));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t got, read(out));
-  if (got != total) {
-    return Corrupt(strformat("logical stream delivered %llu of %llu "
-                             "remaining bytes",
-                             static_cast<unsigned long long>(got),
-                             static_cast<unsigned long long>(total)));
-  }
-  return out;
+  return read_whole_stream(*this);
 }
 
 }  // namespace sion::core

@@ -33,6 +33,7 @@
 #include "core/filemap.h"
 #include "core/layout.h"
 #include "core/metadata.h"
+#include "core/multifile.h"
 #include "fs/filesystem.h"
 #include "par/comm.h"
 
@@ -126,51 +127,43 @@ class SionParFile {
   [[nodiscard]] std::uint64_t chunk_capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t current_block() const { return block_; }
   [[nodiscard]] std::uint64_t position_in_chunk() const { return pos_; }
-  [[nodiscard]] int nfiles() const { return nfiles_; }
-  [[nodiscard]] int filenum() const { return filenum_; }
-  [[nodiscard]] const std::string& physical_path() const { return path_; }
-  [[nodiscard]] std::uint64_t fsblksize() const { return fsblksize_; }
+  [[nodiscard]] int nfiles() const { return place_.nfiles; }
+  [[nodiscard]] int filenum() const { return place_.filenum; }
+  [[nodiscard]] const std::string& physical_path() const {
+    return place_.path;
+  }
+  [[nodiscard]] std::uint64_t fsblksize() const { return view_.fsblksize; }
   // Total payload bytes this task has written / can still read.
   [[nodiscard]] std::uint64_t bytes_written_total() const;
   [[nodiscard]] std::uint64_t bytes_remaining_total() const;
 
  private:
-  SionParFile() = default;
+  SionParFile(par::Comm& gcom, FilePlacement place, ChunkView view,
+              bool writable);
 
   [[nodiscard]] std::uint64_t chunk_file_offset(std::uint64_t block) const {
-    return chunk_start_block0_ + block * block_span_ +
+    return view_.chunk_start0 + block * view_.block_span +
            (frames_ ? kChunkFrameSize : 0);
   }
+  [[nodiscard]] ChunkFrame frame(std::uint64_t block) const;
   Status write_frame(std::uint64_t block);
   Status patch_frame(std::uint64_t block);
   Status advance_chunk_write();
 
   // Shared state.
-  fs::FileSystem* fs_ = nullptr;
   par::Comm* gcom_ = nullptr;
-  par::Comm* lcom_ = nullptr;
-  std::unique_ptr<fs::File> file_;
-  std::string path_;
+  FilePlacement place_;
+  // From the shared open. chunk_bytes: payload bytes per chunk so far
+  // (write mode) or as recorded in metablock 2 (read mode).
+  ChunkView view_;
   bool writable_ = false;
   bool closed_ = false;
   bool frames_ = false;
-  int nfiles_ = 1;
-  int filenum_ = 0;
-  int lrank_ = 0;
-  std::uint64_t fsblksize_ = 0;
-  std::uint64_t chunk_start_block0_ = 0;  // my chunk's offset in block 0
-  std::uint64_t block_span_ = 0;
   std::uint64_t capacity_ = 0;  // payload capacity per chunk
-  std::uint64_t meta1_end_ = 0;  // serialized metablock-1 size (master only)
-  std::uint64_t data_start_ = 0;
 
   // Cursor.
   std::uint64_t block_ = 0;
   std::uint64_t pos_ = 0;
-
-  // Write mode: payload bytes per chunk so far. Read mode: payload bytes per
-  // chunk as recorded in metablock 2.
-  std::vector<std::uint64_t> chunk_bytes_;
 };
 
 }  // namespace sion::core

@@ -107,28 +107,25 @@ class SionSerialFile {
 
  private:
   struct PhysicalFile {
-    std::string path;
     std::unique_ptr<fs::File> file;
     FileHeader header;
     FileLayout layout;
-    std::vector<int> local_of_rank_slot;  // local index per header slot
   };
 
   SionSerialFile() = default;
 
   static Result<std::unique_ptr<SionSerialFile>> open_existing(
-      fs::FileSystem& fs, const std::string& name, int pinned_rank,
-      bool writable);
+      fs::FileSystem& fs, const std::string& name, int pinned_rank);
 
   [[nodiscard]] std::uint64_t capacity(int rank) const;
   [[nodiscard]] std::uint64_t chunk_file_offset(int rank,
                                                 std::uint64_t block) const;
   [[nodiscard]] fs::File& file_of(int rank) const;
+  [[nodiscard]] ChunkFrame frame(int rank, std::uint64_t block) const;
   Status write_frame(int rank, std::uint64_t block);
   Status patch_frame(int rank, std::uint64_t block);
   Status advance_chunk_write();
 
-  fs::FileSystem* fs_ = nullptr;
   bool writable_ = false;
   bool closed_ = false;
   int pinned_rank_ = -1;  // >= 0: task-local view

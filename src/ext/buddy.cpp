@@ -1,16 +1,12 @@
 #include "ext/buddy.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
-#include "core/layout.h"
-#include "core/metadata.h"
-#include "core/serial_file.h"
-#include "fs/path.h"
+#include "core/multifile.h"
 #include "par/engine.h"
 
 namespace sion::ext {
@@ -40,24 +36,6 @@ std::vector<int> rotated_file_map(int gsize, int domain_size, int ndomains,
   return file_of;
 }
 
-// Write one multifile (primary or a replica set) through the ordinary
-// writers: every rank writes its own payload; only the file mapping varies.
-Status write_set(fs::FileSystem& fs, par::Comm& gcom,
-                 core::ParOpenSpec spec, const BuddyConfig& config,
-                 fs::DataView payload) {
-  if (config.collective) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion,
-        Collective::open_write(fs, gcom, spec, config.collective_config));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
-  }
-  SION_ASSIGN_OR_RETURN(auto sion, core::SionParFile::open_write(fs, gcom, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
-}
-
 // Plain-mode mirror writer for replica set k: every rank ships its chunk
 // descriptor and payload view to the buddy rank shift = k*S positions
 // ahead over the group-to-group rotation, and each domain writes the
@@ -73,7 +51,6 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   const int shift = k * domain_size;
   const int src_rank = (me - shift % gsize + gsize) % gsize;
   const int g = me / domain_size;  // the file my domain hosts
-  const int p = dcom.rank();       // my slot within it
 
   // Descriptor rotation: chunk geometry and payload shape travel to the
   // buddy host so both sides know exactly what the view leg carries.
@@ -109,72 +86,19 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   }
 
   // File-local metadata: the domain master lays the replica file out with
-  // the source ranks' identity and geometry, exactly like a SionParFile
-  // master would for those ranks.
-  const std::string path =
-      core::physical_file_name(set_name, g, ndomains);
-  const auto chunksizes = dcom.gather_u64(src_chunksize, 0);
-  Status st;
-  std::unique_ptr<fs::File> file;
-  core::FileLayout layout;  // master only
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> capacities;
-  if (p == 0) {
-    st = [&]() -> Status {
-      core::FileHeader header;
-      header.fsblksize = fsblksize;
-      header.ntasks = static_cast<std::uint32_t>(domain_size);
-      header.nfiles = static_cast<std::uint32_t>(ndomains);
-      header.filenum = static_cast<std::uint32_t>(g);
-      const int src_base = ((g - k) % ndomains + ndomains) % ndomains *
-                           domain_size;
-      header.global_ranks.resize(static_cast<std::size_t>(domain_size));
-      for (int t = 0; t < domain_size; ++t) {
-        header.global_ranks[static_cast<std::size_t>(t)] =
-            static_cast<std::uint64_t>(src_base + t);
-      }
-      header.chunksizes_req = chunksizes;
-      const std::vector<std::byte> meta1 = header.serialize();
-      SION_ASSIGN_OR_RETURN(
-          layout, core::FileLayout::create(fsblksize, chunksizes,
-                                           meta1.size()));
-      data_start = layout.data_start();
-      block_span = layout.block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(domain_size));
-      capacities.resize(static_cast<std::size_t>(domain_size));
-      for (int t = 0; t < domain_size; ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
-            layout.chunk_offset_in_block(t);
-        capacities[static_cast<std::size_t>(t)] = layout.chunksize(t);
-      }
-      SION_ASSIGN_OR_RETURN(file, fs.create(path));
-      SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                            file->pwrite(fs::DataView(meta1), 0));
-      (void)n;
-      return Status::Ok();
-    }();
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(dcom, gcom, st, 0, kBuddyFailed));
-
-  std::uint64_t geom[2] = {data_start, block_span};
-  dcom.bcast_u64_seq(geom, 0);
-  data_start = geom[0];
-  block_span = geom[1];
-  const auto [my_offset, my_capacity] =
-      dcom.scatter2_u64(chunk_offsets, capacities, 0);
-
-  st = Status::Ok();
-  if (p != 0) {
-    auto opened = fs.open_rw(path);
-    if (!opened.ok()) {
-      st = opened.status();
-    } else {
-      file = std::move(opened).value();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(dcom, gcom, st, 0, kBuddyFailed));
+  // the source ranks' identity and geometry through the same create step a
+  // SionParFile open runs (core::create_physical_file).
+  const core::FilePlacement place{
+      ndomains, g, core::physical_file_name(set_name, g, ndomains), &dcom};
+  core::CreateSpec create;
+  create.fsblksize = fsblksize;
+  create.chunksize = src_chunksize;
+  create.first_global_rank = static_cast<std::uint64_t>(
+      ((g - k) % ndomains + ndomains) % ndomains * domain_size);
+  create.scatter_chunksizes = true;
+  create.what = kBuddyFailed;
+  SION_ASSIGN_OR_RETURN(core::ChunkView view,
+                        core::create_physical_file(fs, gcom, place, create));
 
   // Write the mirrored stream, filling each chunk to capacity before moving
   // to the same-positioned chunk of the next block (the SionParFile walk).
@@ -182,13 +106,15 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
       src_is_fill != 0
           ? fs::DataView::fill(static_cast<std::byte>(src_fill), src_size)
           : fs::DataView(src_bytes);
+  const std::uint64_t capacity = view.aligned_chunksize();
   std::vector<std::uint64_t> chunk_bytes;
   std::uint64_t done = 0;
+  Status st;
   while (done < src_size && st.ok()) {
-    const std::uint64_t take = std::min(my_capacity, src_size - done);
+    const std::uint64_t take = std::min(capacity, src_size - done);
     const std::uint64_t offset =
-        data_start + chunk_bytes.size() * block_span + my_offset;
-    auto wrote = file->pwrite(mirrored.subview(done, take), offset);
+        view.chunk_start0 + chunk_bytes.size() * view.block_span;
+    auto wrote = view.file->pwrite(mirrored.subview(done, take), offset);
     if (!wrote.ok()) {
       st = wrote.status();
       break;
@@ -199,39 +125,15 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   if (chunk_bytes.empty()) chunk_bytes.assign(1, 0);
 
   // Per-chunk usage to the master, which writes metablock 2 and the
-  // trailer exactly like a parallel close.
-  const auto all = dcom.gatherv_u64_flat(chunk_bytes, 0);
-  if (p == 0 && st.ok()) {
-    core::FileMeta2 meta2;
-    meta2.bytes_written.resize(static_cast<std::size_t>(domain_size));
-    for (int t = 0; t < domain_size; ++t) {
-      const auto piece = all.of(t);
-      meta2.bytes_written[static_cast<std::size_t>(t)].assign(piece.begin(),
-                                                              piece.end());
-    }
-    const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
-    st = core::write_meta2_and_trailer(*file, layout.meta2_offset(nblocks),
-                                       nblocks, meta2);
-  }
-  file.reset();
+  // trailer like a parallel close (a master that failed writes nothing).
+  const Status wrote = core::write_chunk_usage(
+      dcom, st.ok() ? view.file.get() : nullptr, view.data_start,
+      view.block_span, chunk_bytes);
+  if (st.ok()) st = wrote;
+  view.file.reset();
   SION_RETURN_IF_ERROR(agree(gcom, st));
   gcom.barrier();
   return Status::Ok();
-}
-
-// A primary physical file (or replica candidate) is usable when it opens
-// and both metablocks parse — which is exactly what the restart reader
-// needs. Missing files, injected open/read faults, and silent truncation
-// (metablock 2 lives at the end) all fail this probe.
-bool file_usable(fs::FileSystem& fs, const std::string& path, int ndomains) {
-  auto file = fs.open_read(path);
-  if (!file.ok()) return false;
-  auto header = core::read_header(*file.value());
-  if (!header.ok()) return false;
-  if (static_cast<int>(header.value().nfiles) != ndomains) return false;
-  auto meta2 = core::read_meta2(*file.value(), header.value());
-  if (!meta2.ok()) return false;
-  return meta2.value().bytes_written.size() == header.value().ntasks;
 }
 
 // Copy a surviving replica file over the lost primary file and patch the
@@ -240,32 +142,14 @@ Result<std::uint64_t> heal_one(fs::FileSystem& fs, const std::string& src_path,
                                const std::string& dst_path, int filenum,
                                std::uint64_t buffer_bytes) {
   SION_ASSIGN_OR_RETURN(auto src, fs.open_read(src_path));
-  SION_ASSIGN_OR_RETURN(core::FileHeader header, core::read_header(*src));
+  SION_ASSIGN_OR_RETURN(const core::FileHeader header,
+                        core::read_header(*src));
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, src->stat());
   SION_ASSIGN_OR_RETURN(auto dst, fs.create(dst_path));
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(std::max<std::uint64_t>(1, buffer_bytes)));
-  std::uint64_t done = 0;
-  while (done < st.size) {
-    const std::uint64_t want = std::min<std::uint64_t>(buf.size(),
-                                                       st.size - done);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t got,
-        src->pread(std::span<std::byte>(buf).first(want), done));
-    if (got != want) return Corrupt("replica shrank during heal copy");
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(buf).first(got)),
-                    done));
-    (void)put;
-    done += got;
-  }
-  header.filenum = static_cast<std::uint32_t>(filenum);
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      dst->pwrite(fs::DataView(header.serialize()), 0));
-  (void)n;
-  return done;
+  SION_RETURN_IF_ERROR(core::copy_physical_file(
+      *src, header, st.size, *dst, buffer_bytes,
+      static_cast<std::uint32_t>(filenum)));
+  return st.size;
 }
 
 }  // namespace
@@ -318,20 +202,10 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
   // The replica layout must be reproducible at heal time from the file
   // geometry alone, so the block size is pinned up front (the primary's
   // writers would otherwise detect it file by file).
-  std::uint64_t fsblksize = spec.fsblksize;
-  if (fsblksize == 0) {
-    Status st;
-    if (gcom.rank() == 0) {
-      auto detected = fs.block_size(fs::parent(spec.filename));
-      if (detected.ok()) {
-        fsblksize = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kBuddyFailed));
-    fsblksize = gcom.bcast_u64(fsblksize, 0);
-  }
+  SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
+                        core::agree_block_size(fs, gcom, nullptr,
+                                               spec.filename, spec.fsblksize,
+                                               kBuddyFailed));
 
   // Primary: the ordinary multifile, one physical file per failure domain
   // (contiguous equal blocks == the domain mapping when D divides gsize).
@@ -340,7 +214,10 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
   pspec.fsblksize = fsblksize;
   pspec.mapping = core::Mapping::kContiguous;
   pspec.custom_file_of_rank.clear();
-  SION_RETURN_IF_ERROR(write_set(fs, gcom, pspec, config, payload));
+  const CollectiveConfig* aggregation =
+      config.collective ? &config.collective_config : nullptr;
+  SION_RETURN_IF_ERROR(
+      write_multifile(fs, gcom, pspec, aggregation, payload));
 
   if (replicas == 1) return Status::Ok();
 
@@ -360,7 +237,8 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
       rspec.mapping = core::Mapping::kCustom;
       rspec.custom_file_of_rank =
           rotated_file_map(gsize, domain_size, ndomains, k);
-      SION_RETURN_IF_ERROR(write_set(fs, gcom, rspec, config, payload));
+      SION_RETURN_IF_ERROR(
+          write_multifile(fs, gcom, rspec, aggregation, payload));
     } else {
       SION_RETURN_IF_ERROR(mirror_write(fs, gcom, *dcom, set_name, k,
                                         domain_size, ndomains, fsblksize,
@@ -399,15 +277,15 @@ Result<BuddyHealReport> Buddy::heal(fs::FileSystem& fs, par::Comm& mcom,
       std::uint64_t damaged = 0;
       ByteWriter body;
       for (int f = 0; f < ndomains; ++f) {
-        if (file_usable(fs, core::physical_file_name(name, f, ndomains),
-                        ndomains)) {
+        if (core::physical_file_usable(
+                fs, core::physical_file_name(name, f, ndomains), ndomains)) {
           continue;
         }
         std::vector<std::uint64_t> cands;
         for (int k = 1; k < replicas; ++k) {
           const std::string cand = core::physical_file_name(
               replica_name(name, k), (f + k) % ndomains, ndomains);
-          if (file_usable(fs, cand, ndomains)) {
+          if (core::physical_file_usable(fs, cand, ndomains)) {
             cands.push_back(static_cast<std::uint64_t>(k));
           }
         }

@@ -6,9 +6,7 @@
 #include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
-#include "core/layout.h"
-#include "core/metadata.h"
-#include "fs/path.h"
+#include "core/multifile.h"
 #include "par/engine.h"
 
 namespace sion::ext {
@@ -154,65 +152,30 @@ class WriteAggregator {
 Result<std::unique_ptr<Collective>> Collective::open_write(
     fs::FileSystem& fs, par::Comm& gcom, const core::ParOpenSpec& spec,
     const CollectiveConfig& config) {
-  const int grank = gcom.rank();
-  const int gsize = gcom.size();
   if (spec.chunksize == 0) return InvalidArgument("chunksize must be positive");
   if (spec.chunk_frames) {
     return InvalidArgument(
         "recovery chunk frames are not supported in collective mode");
   }
   SION_ASSIGN_OR_RETURN(const core::FileMap map,
-                        core::FileMap::make(spec.mapping, gsize, spec.nfiles,
+                        core::FileMap::make(spec.mapping, gcom.size(),
+                                            spec.nfiles,
                                             spec.custom_file_of_rank));
 
-  auto out = std::unique_ptr<Collective>(new Collective());
-  out->fs_ = &fs;
-  out->gcom_ = &gcom;
-  out->writable_ = true;
-  out->nfiles_ = map.nfiles();
-  out->filenum_ = map.file_of(grank);
-  out->path_ =
-      core::physical_file_name(spec.filename, out->filenum_, map.nfiles());
-  out->buffer_bytes_ = std::max<std::uint64_t>(1, config.buffer_bytes);
+  auto out = std::unique_ptr<Collective>(new Collective(
+      gcom,
+      core::place_on_file(gcom, spec.filename, map.file_of(gcom.rank()),
+                          map.nfiles()),
+      /*writable=*/true, config));
+  par::Comm& lcom = *out->place_.lcom;
 
-  out->lcom_ = gcom.split(out->filenum_, grank);
-  SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
-  par::Comm& lcom = *out->lcom_;
-  out->lrank_ = lcom.rank();
-  const int lsize = lcom.size();
-  const bool master = out->lrank_ == 0;
-
-  int group_size = config.group_size;
-  if (group_size <= 0) {
-    group_size = static_cast<int>(
-        ceil_div(static_cast<std::uint64_t>(lsize),
-                 static_cast<std::uint64_t>(
-                     std::max(1, config.collectors_per_file))));
-  }
-  out->group_ = lcom.split_groups(group_size);
-  SION_CHECK(out->group_ != nullptr) << "split_groups returned no communicator";
-  group_size = out->group_->size();  // last group may be smaller
-  const bool collector = out->group_->rank() == 0;
-
-  // The file-local master detects the real file-system block size; group
-  // padding is computed against it even when chunks pack at a finer granule.
-  Status st;
-  std::uint64_t real_blk = spec.fsblksize;
-  if (real_blk == 0) {
-    if (master) {
-      auto detected = fs.block_size(fs::parent(out->path_));
-      if (detected.ok()) {
-        real_blk = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
-    real_blk = lcom.bcast_u64(real_blk, 0);
-  }
-  if (!is_power_of_two(real_blk)) {
-    return InvalidArgument("file-system block size must be a power of two");
-  }
+  // Group padding is computed against the real file-system block even
+  // when chunks pack at a finer granule.
+  SION_ASSIGN_OR_RETURN(const std::uint64_t real_blk,
+                        core::agree_block_size(fs, lcom, &gcom,
+                                               out->place_.path,
+                                               spec.fsblksize,
+                                               kAggregationFailed));
   std::uint64_t granule = real_blk;
   if (config.alignment != CollectiveConfig::Alignment::kFsBlock) {
     granule = std::min(
@@ -222,117 +185,27 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
       granule = real_blk;
     }
   }
-  out->granule_ = granule;
 
-  auto chunksizes = lcom.gather_u64(spec.chunksize, 0);
-  const auto granks =
-      lcom.gather_u64(static_cast<std::uint64_t>(grank), 0);
-
-  // Master lays the file out and writes metablock 1; the layout is the
-  // ordinary SION geometry with fsblksize = granule, so any reader
-  // reconstructs it from the header alone.
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> requested;
-  st = Status::Ok();
-  if (master) {
-    core::FileHeader header;
-    header.fsblksize = granule;
-    header.ntasks = static_cast<std::uint32_t>(lsize);
-    header.nfiles = static_cast<std::uint32_t>(map.nfiles());
-    header.filenum = static_cast<std::uint32_t>(out->filenum_);
-    header.global_ranks = granks;
-    header.chunksizes_req = chunksizes;
-    // serialize() size depends only on the task count, so the pre-padding
-    // header already has the final metablock-1 size.
-    const std::uint64_t meta1_size = header.serialize().size();
-    if (config.alignment == CollectiveConfig::Alignment::kPacked &&
-        granule < real_blk) {
-      // Pad each group's last chunk so the group ends on a real file-system
-      // block boundary: a group has exactly one writer, so only boundaries
-      // *between* groups can false-share, and this removes them.
-      const std::uint64_t start = round_up(meta1_size, granule);
-      std::uint64_t prefix = 0;
-      for (int t = 0; t < lsize; ++t) {
-        const auto i = static_cast<std::size_t>(t);
-        std::uint64_t aligned = round_up(chunksizes[i], granule);
-        const bool group_end =
-            t % group_size == group_size - 1 || t == lsize - 1;
-        if (group_end) {
-          const std::uint64_t end_abs = start + prefix + aligned;
-          const std::uint64_t pad = round_up(end_abs, real_blk) - end_abs;
-          chunksizes[i] += pad;
-          aligned += pad;
-        }
-        prefix += aligned;
-      }
-      header.chunksizes_req = chunksizes;
-    }
-    const std::vector<std::byte> meta1 = header.serialize();
-    auto layout = core::FileLayout::create(granule, chunksizes, meta1.size());
-    if (!layout.ok()) {
-      st = layout.status();
-    } else {
-      data_start = layout.value().data_start();
-      block_span = layout.value().block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(lsize));
-      for (int t = 0; t < lsize; ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
-            layout.value().chunk_offset_in_block(t);
-      }
-      auto created = fs.create(out->path_);
-      if (!created.ok()) {
-        st = created.status();
-      } else {
-        out->file_ = std::move(created).value();
-        auto wrote = out->file_->pwrite(fs::DataView(meta1), 0);
-        if (!wrote.ok()) st = wrote.status();
-      }
-    }
-    requested = chunksizes;
+  // The layout is the ordinary SION geometry with fsblksize = granule, so
+  // any reader reconstructs it from the header alone. Only collectors
+  // open the physical file: this is where the aggregated path sheds the
+  // per-task metadata/open pressure (SimFs accounts for it through cached
+  // opens and the client_open_service token model).
+  core::CreateSpec create;
+  create.fsblksize = granule;
+  create.chunksize = spec.chunksize;
+  if (config.alignment == CollectiveConfig::Alignment::kPacked &&
+      granule < real_blk) {
+    create.pad_block = real_blk;
+    create.pad_group = out->group_->size();
   }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
-
-  std::uint64_t geom[2] = {data_start, block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  data_start = geom[0];
-  block_span = geom[1];
-  const auto [my_offset, my_request] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->self_.chunk_start0 = data_start + my_offset;
-  out->self_.capacity = round_up(my_request, granule);
-
-  // Only collectors open the physical file — this is where the aggregated
-  // path sheds the per-task metadata/open pressure (SimFs accounts for it
-  // through cached opens and the client_open_service token model).
-  st = Status::Ok();
-  if (collector && !master) {
-    auto opened = fs.open_rw(out->path_);
-    if (!opened.ok()) {
-      st = opened.status();
-    } else {
-      out->file_ = std::move(opened).value();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
-
-  // The collector learns its members' chunk geometry once; every later
-  // chunk address is computed locally (paper 3.1, lifted to groups).
-  const auto starts = out->group_->gather_u64(out->self_.chunk_start0, 0);
-  const auto caps = out->group_->gather_u64(out->self_.capacity, 0);
-  if (collector) {
-    out->members_.resize(static_cast<std::size_t>(group_size));
-    for (int m = 0; m < group_size; ++m) {
-      const auto i = static_cast<std::size_t>(m);
-      out->members_[i].chunk_start0 = starts[i];
-      out->members_[i].capacity = caps[i];
-    }
-  }
-
-  out->chunk_bytes_.assign(1, 0);
+  create.scatter_chunksizes = true;
+  create.open_handle = out->is_collector();
+  create.what = kAggregationFailed;
+  SION_ASSIGN_OR_RETURN(
+      core::ChunkView view,
+      core::create_physical_file(fs, gcom, out->place_, create));
+  out->adopt(std::move(view));
   gcom.barrier();
   return out;
 }
@@ -344,75 +217,34 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
 Result<std::unique_ptr<Collective>> Collective::open_read(
     fs::FileSystem& fs, par::Comm& gcom, const std::string& name,
     const CollectiveConfig& config) {
-  const int grank = gcom.rank();
-  const int gsize = gcom.size();
+  // The global master (a collector by construction) discovers the set.
+  SION_ASSIGN_OR_RETURN(
+      core::FilePlacement place,
+      core::place_in_multifile(fs, gcom, name, kAggregationFailed));
+  auto out = std::unique_ptr<Collective>(new Collective(
+      gcom, std::move(place), /*writable=*/false, config));
 
-  // The global master (a collector by construction) discovers the multifile
-  // set and scatters the rank -> file map, as in SionParFile::open_read.
-  Status st;
-  std::uint64_t nfiles_u64 = 0;
-  std::vector<std::uint64_t> file_of_rank;
-  if (grank == 0) {
-    st = [&]() -> Status {
-      std::string first = name;
-      if (!fs.exists(first)) first = core::physical_file_name(name, 0, 2);
-      SION_ASSIGN_OR_RETURN(auto file0, fs.open_read(first));
-      SION_ASSIGN_OR_RETURN(const core::FileHeader h0,
-                            core::read_header(*file0));
-      const int nfiles = static_cast<int>(h0.nfiles);
-      std::uint64_t total_tasks = 0;
-      file_of_rank.assign(static_cast<std::size_t>(gsize), 0);
-      for (int f = 0; f < nfiles; ++f) {
-        core::FileHeader h = h0;
-        if (f != 0) {
-          SION_ASSIGN_OR_RETURN(
-              auto file,
-              fs.open_read(core::physical_file_name(name, f, nfiles)));
-          SION_ASSIGN_OR_RETURN(h, core::read_header(*file));
-        }
-        total_tasks += h.ntasks;
-        for (const std::uint64_t r : h.global_ranks) {
-          if (r >= static_cast<std::uint64_t>(gsize)) {
-            return InvalidArgument(strformat(
-                "multifile was written by rank %llu but only %d tasks "
-                "opened it (task count must match the writer)",
-                static_cast<unsigned long long>(r), gsize));
-          }
-          file_of_rank[r] = static_cast<std::uint64_t>(f);
-        }
-      }
-      if (total_tasks != static_cast<std::uint64_t>(gsize)) {
-        return InvalidArgument(strformat(
-            "multifile holds %llu logical files but %d tasks opened it",
-            static_cast<unsigned long long>(total_tasks), gsize));
-      }
-      nfiles_u64 = static_cast<std::uint64_t>(nfiles);
-      return Status::Ok();
-    }();
-  }
-  SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kAggregationFailed));
+  // Members learn their view from the file master without touching the
+  // file system.
+  core::OpenReadSpec open;
+  open.open_handle = out->is_collector();
+  open.what = kAggregationFailed;
+  SION_ASSIGN_OR_RETURN(core::ChunkView view,
+                        core::open_physical_file(fs, gcom, out->place_, open));
+  out->adopt(std::move(view));
+  gcom.barrier();
+  return out;
+}
 
-  const std::uint64_t nfiles = gcom.bcast_u64(nfiles_u64, 0);
-  const std::uint64_t my_file = gcom.scatter_u64(file_of_rank, 0);
-  file_of_rank.clear();
-  file_of_rank.shrink_to_fit();
-
-  auto out = std::unique_ptr<Collective>(new Collective());
-  out->fs_ = &fs;
-  out->gcom_ = &gcom;
-  out->writable_ = false;
-  out->nfiles_ = static_cast<int>(nfiles);
-  out->filenum_ = static_cast<int>(my_file);
-  out->path_ = core::physical_file_name(name, out->filenum_, out->nfiles_);
-  out->buffer_bytes_ = std::max<std::uint64_t>(1, config.buffer_bytes);
-
-  out->lcom_ = gcom.split(out->filenum_, grank);
-  SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
-  par::Comm& lcom = *out->lcom_;
-  out->lrank_ = lcom.rank();
-  const int lsize = lcom.size();
-  const bool master = out->lrank_ == 0;
-
+// Both open directions start here: the aggregation groups within the
+// physical file are split off (rank 0 of each group is its collector).
+Collective::Collective(par::Comm& gcom, core::FilePlacement place,
+                       bool writable, const CollectiveConfig& config)
+    : gcom_(&gcom),
+      place_(std::move(place)),
+      writable_(writable),
+      buffer_bytes_(std::max<std::uint64_t>(1, config.buffer_bytes)) {
+  const int lsize = place_.lcom->size();
   int group_size = config.group_size;
   if (group_size <= 0) {
     group_size = static_cast<int>(
@@ -420,118 +252,35 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
                  static_cast<std::uint64_t>(
                      std::max(1, config.collectors_per_file))));
   }
-  out->group_ = lcom.split_groups(group_size);
-  SION_CHECK(out->group_ != nullptr) << "split_groups returned no communicator";
-  group_size = out->group_->size();
-  const bool collector = out->group_->rank() == 0;
+  group_ = place_.lcom->split_groups(group_size);
+  SION_CHECK(group_ != nullptr) << "split_groups returned no communicator";
+}
 
-  // The file-local master parses both metablocks and scatters every task's
-  // view, so members learn their geometry without touching the file system.
-  st = Status::Ok();
-  std::uint64_t granule = 0;
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> requested;
-  std::vector<std::byte> blobs_flat;
-  std::vector<std::uint64_t> blob_sizes;
-  if (master) {
-    st = [&]() -> Status {
-      SION_ASSIGN_OR_RETURN(auto file, fs.open_read(out->path_));
-      SION_ASSIGN_OR_RETURN(const core::FileHeader header,
-                            core::read_header(*file));
-      if (static_cast<int>(header.ntasks) != lsize) {
-        return InvalidArgument(
-            strformat("physical file %s holds %u logical files but %d tasks "
-                      "opened it",
-                      out->path_.c_str(), header.ntasks, lsize));
-      }
-      if ((header.flags & core::kFlagChunkFrames) != 0) {
-        return InvalidArgument(
-            "collective read of a chunk-framed file is not supported");
-      }
-      SION_ASSIGN_OR_RETURN(const core::FileMeta2 meta2,
-                            core::read_meta2(*file, header));
-      if (meta2.bytes_written.size() != header.ntasks) {
-        return Corrupt("metablock 2 task count mismatch");
-      }
-      const std::vector<std::byte> meta1 = header.serialize();
-      SION_ASSIGN_OR_RETURN(
-          const core::FileLayout layout,
-          core::FileLayout::create(header.fsblksize, header.chunksizes_req,
-                                   meta1.size()));
-      granule = header.fsblksize;
-      data_start = layout.data_start();
-      block_span = layout.block_span();
-      chunk_offsets.resize(header.ntasks);
-      requested.resize(header.ntasks);
-      blob_sizes.resize(header.ntasks);
-      ByteWriter w;
-      for (std::uint32_t t = 0; t < header.ntasks; ++t) {
-        chunk_offsets[t] = layout.chunk_offset_in_block(static_cast<int>(t));
-        requested[t] = header.chunksizes_req[t];
-        const std::size_t at = w.size();
-        w.put_u64_array(meta2.bytes_written[t]);
-        blob_sizes[t] = w.size() - at;
-      }
-      blobs_flat = w.take();
-      out->file_ = std::move(file);
-      return Status::Ok();
-    }();
+// Takes this rank's view from the shared open, then the collector learns
+// its members' chunk geometry once (and, when reading, their chunk usage);
+// every later chunk address is computed locally (paper 3.1, lifted to
+// groups).
+void Collective::adopt(core::ChunkView view) {
+  view_ = std::move(view);
+  self_.chunk_start0 = view_.chunk_start0;
+  self_.capacity = view_.aligned_chunksize();
+
+  const auto starts = group_->gather_u64(self_.chunk_start0, 0);
+  const auto caps = group_->gather_u64(self_.capacity, 0);
+  auto usage = writable_ ? par::Comm::FlatGatherU64{}
+                         : group_->gatherv_u64_flat(view_.chunk_bytes, 0);
+  if (!is_collector()) return;
+  members_.resize(starts.size());
+  for (std::size_t m = 0; m < starts.size(); ++m) {
+    members_[m].chunk_start0 = starts[m];
+    members_[m].capacity = caps[m];
   }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
-
-  std::uint64_t geom[3] = {granule, data_start, block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  granule = geom[0];
-  data_start = geom[1];
-  block_span = geom[2];
-  const auto [my_offset, my_request] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
-  const std::vector<std::byte> my_blob =
-      lcom.scatterv_bytes_flat(blobs_flat, blob_sizes, 0);
-  ByteReader blob_reader(my_blob);
-  SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
-
-  out->granule_ = granule;
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->self_.chunk_start0 = data_start + my_offset;
-  out->self_.capacity = round_up(my_request, granule);
-  out->chunk_bytes_ = std::move(chunk_bytes);
-  if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
-
-  st = Status::Ok();
-  if (collector && !master) {
-    auto opened = fs.open_read(out->path_);
-    if (!opened.ok()) {
-      st = opened.status();
-    } else {
-      out->file_ = std::move(opened).value();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
-
-  const auto starts = out->group_->gather_u64(out->self_.chunk_start0, 0);
-  const auto caps = out->group_->gather_u64(out->self_.capacity, 0);
-  auto usage = out->group_->gatherv_u64_flat(out->chunk_bytes_, 0);
-  if (collector) {
-    out->members_.resize(static_cast<std::size_t>(group_size));
-    for (int m = 0; m < group_size; ++m) {
-      const auto i = static_cast<std::size_t>(m);
-      out->members_[i].chunk_start0 = starts[i];
-      out->members_[i].capacity = caps[i];
-    }
-    out->member_chunk_bytes_ = std::move(usage);
-  }
-
-  gcom.barrier();
-  return out;
+  member_chunk_bytes_ = std::move(usage);
 }
 
 Collective::~Collective() {
   if (!closed_ && writable_) {
-    SION_LOG_WARN << "collective SION file " << path_
+    SION_LOG_WARN << "collective SION file " << place_.path
                   << " destroyed without collective close; metablock 2 was "
                      "not written";
   }
@@ -547,18 +296,18 @@ void Collective::record_written(std::uint64_t n) {
     if (self_.pos == self_.capacity) {
       ++self_.block;
       self_.pos = 0;
-      chunk_bytes_.push_back(0);
+      view_.chunk_bytes.push_back(0);
     }
     const std::uint64_t take = std::min(self_.capacity - self_.pos, n - done);
     self_.pos += take;
-    chunk_bytes_[self_.block] += take;
+    view_.chunk_bytes[self_.block] += take;
     done += take;
   }
 }
 
 Status Collective::write_as_collector(fs::DataView own,
                                       const std::vector<std::uint64_t>& sizes) {
-  WriteAggregator agg(*file_, buffer_bytes_);
+  WriteAggregator agg(*view_.file, buffer_bytes_);
   Status st;
   for (int m = 0; m < group_->size(); ++m) {
     Cursor& c = members_[static_cast<std::size_t>(m)];
@@ -665,15 +414,6 @@ Status Collective::write(fs::DataView data) {
 // read path
 // ---------------------------------------------------------------------------
 
-std::uint64_t Collective::remaining_from(
-    const Cursor& c, std::span<const std::uint64_t> chunk_bytes) const {
-  std::uint64_t total = 0;
-  for (std::uint64_t b = c.block; b < chunk_bytes.size(); ++b) {
-    total += chunk_bytes[b] - (b == c.block ? c.pos : 0);
-  }
-  return total;
-}
-
 Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
                                      const std::vector<std::uint64_t>& wants) {
   Status st;
@@ -681,8 +421,8 @@ Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
   for (int m = 0; m < group_->size(); ++m) {
     Cursor& c = members_[static_cast<std::size_t>(m)];
     const auto usage = member_chunk_bytes_.of(m);
-    std::uint64_t deliver =
-        std::min(wants[static_cast<std::size_t>(m)], remaining_from(c, usage));
+    std::uint64_t deliver = std::min(wants[static_cast<std::size_t>(m)],
+                                     core::bytes_from(usage, c.block, c.pos));
     std::uint64_t out_pos = 0;
     while (deliver > 0) {
       const std::uint64_t wave = std::min(buffer_bytes_, deliver);
@@ -703,13 +443,14 @@ Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
         const std::uint64_t take = std::min(wave - got, avail);
         if (st.ok()) {
           if (skip) {
-            const Status read = file_->pread_discard(take, file_offset(c));
+            const Status read =
+                view_.file->pread_discard(take, file_offset(c));
             if (!read.ok()) st = read;
           } else {
             std::span<std::byte> dst =
                 m == 0 ? own_out.subspan(out_pos + got, take)
                        : std::span<std::byte>(wave_buf).subspan(got, take);
-            auto read = file_->pread(dst, file_offset(c));
+            auto read = view_.file->pread(dst, file_offset(c));
             if (!read.ok()) {
               st = read.status();
             } else if (read.value() != take) {
@@ -742,7 +483,7 @@ Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
 
 Status Collective::read_as_member(std::span<std::byte> out, bool skip,
                                   std::uint64_t want) {
-  std::uint64_t deliver = std::min(want, remaining_from(self_, chunk_bytes_));
+  std::uint64_t deliver = std::min(want, bytes_remaining_total());
   std::uint64_t out_pos = 0;
   Status st;
   while (deliver > 0) {
@@ -778,8 +519,7 @@ Result<std::uint64_t> Collective::read_impl(std::span<std::byte> out,
                                             bool skip, std::uint64_t want) {
   if (writable_) return FailedPrecondition("file opened for writing");
   if (closed_) return FailedPrecondition("file already closed");
-  const std::uint64_t deliver =
-      std::min(want, remaining_from(self_, chunk_bytes_));
+  const std::uint64_t deliver = std::min(want, bytes_remaining_total());
   const auto wants = group_->gather_u64(want, 0);
   Status st;
   if (is_collector()) {
@@ -791,7 +531,7 @@ Result<std::uint64_t> Collective::read_impl(std::span<std::byte> out,
   // walk of the same chunk_bytes book.
   std::uint64_t done = 0;
   while (done < deliver) {
-    const std::uint64_t avail = chunk_bytes_[self_.block] - self_.pos;
+    const std::uint64_t avail = view_.chunk_bytes[self_.block] - self_.pos;
     if (avail == 0) {
       ++self_.block;
       self_.pos = 0;
@@ -810,16 +550,7 @@ Result<std::uint64_t> Collective::read(std::span<std::byte> out) {
 }
 
 Result<std::vector<std::byte>> Collective::read_all() {
-  const std::uint64_t total = bytes_remaining_total();
-  std::vector<std::byte> out(static_cast<std::size_t>(total));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t got, read(out));
-  if (got != total) {
-    return Corrupt(strformat("collective stream delivered %llu of %llu "
-                             "remaining bytes",
-                             static_cast<unsigned long long>(got),
-                             static_cast<unsigned long long>(total)));
-  }
-  return out;
+  return core::read_whole_stream(*this);
 }
 
 Status Collective::read_skip(std::uint64_t nbytes) {
@@ -835,26 +566,15 @@ Status Collective::read_skip(std::uint64_t nbytes) {
 
 Status Collective::close() {
   if (closed_) return FailedPrecondition("file already closed");
-  par::Comm& lcom = *lcom_;
   if (writable_) {
-    const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
-    Status st;
-    if (lrank_ == 0) {
-      core::FileMeta2 meta2;
-      meta2.bytes_written.resize(static_cast<std::size_t>(lcom.size()));
-      for (int t = 0; t < lcom.size(); ++t) {
-        const auto piece = all.of(t);
-        meta2.bytes_written[static_cast<std::size_t>(t)]
-            .assign(piece.begin(), piece.end());
-      }
-      const std::uint64_t nblocks =
-          std::max<std::uint64_t>(1, meta2.nblocks());
-      const std::uint64_t meta2_offset = data_start_ + nblocks * block_span_;
-      st = core::write_meta2_and_trailer(*file_, meta2_offset, nblocks, meta2);
-    }
-    SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed));
+    par::Comm& lcom = *place_.lcom;
+    const Status st =
+        core::write_chunk_usage(lcom, view_.file.get(), view_.data_start,
+                                view_.block_span, view_.chunk_bytes);
+    SION_RETURN_IF_ERROR(
+        par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed));
   }
-  file_.reset();
+  view_.file.reset();
   closed_ = true;
   gcom_->barrier();
   return Status::Ok();
@@ -865,13 +585,28 @@ Status Collective::close() {
 // ---------------------------------------------------------------------------
 
 std::uint64_t Collective::bytes_written_total() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : chunk_bytes_) total += b;
-  return total;
+  return core::bytes_from(view_.chunk_bytes);
 }
 
 std::uint64_t Collective::bytes_remaining_total() const {
-  return remaining_from(self_, chunk_bytes_);
+  return core::bytes_from(view_.chunk_bytes, self_.block, self_.pos);
+}
+
+Status write_multifile(fs::FileSystem& fs, par::Comm& gcom,
+                       const core::ParOpenSpec& spec,
+                       const CollectiveConfig* aggregation,
+                       fs::DataView payload) {
+  if (aggregation != nullptr) {
+    SION_ASSIGN_OR_RETURN(auto sion,
+                          Collective::open_write(fs, gcom, spec, *aggregation));
+    SION_RETURN_IF_ERROR(sion->write(payload));
+    return sion->close();
+  }
+  SION_ASSIGN_OR_RETURN(auto sion,
+                        core::SionParFile::open_write(fs, gcom, spec));
+  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
+  (void)n;
+  return sion->close();
 }
 
 }  // namespace sion::ext

@@ -34,6 +34,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "core/multifile.h"
 #include "core/par_file.h"
 #include "fs/filesystem.h"
 #include "par/comm.h"
@@ -112,17 +113,20 @@ class Collective {
   Status read_skip(std::uint64_t nbytes);
 
   // Collective close; write mode gathers per-chunk usage to the file-local
-  // master, which writes metablock 2 exactly like SionParFile::close.
+  // master, which writes metablock 2 (core::write_chunk_usage, the step
+  // SionParFile::close runs too).
   Status close();
 
   // ---- introspection ------------------------------------------------------
   [[nodiscard]] bool writable() const { return writable_; }
   [[nodiscard]] bool is_collector() const { return group_->rank() == 0; }
   [[nodiscard]] int group_size() const { return group_->size(); }
-  [[nodiscard]] int nfiles() const { return nfiles_; }
-  [[nodiscard]] const std::string& physical_path() const { return path_; }
+  [[nodiscard]] int nfiles() const { return place_.nfiles; }
+  [[nodiscard]] const std::string& physical_path() const {
+    return place_.path;
+  }
   // Packing granule the chunks were laid out with (the header's fsblksize).
-  [[nodiscard]] std::uint64_t granule() const { return granule_; }
+  [[nodiscard]] std::uint64_t granule() const { return view_.fsblksize; }
   // Usable payload capacity of one chunk of this rank.
   [[nodiscard]] std::uint64_t chunk_capacity() const { return self_.capacity; }
   [[nodiscard]] std::uint64_t bytes_written_total() const;
@@ -137,19 +141,18 @@ class Collective {
     std::uint64_t pos = 0;
   };
 
-  Collective() = default;
+  Collective(par::Comm& gcom, core::FilePlacement place, bool writable,
+             const CollectiveConfig& config);
+
+  void adopt(core::ChunkView view);
 
   [[nodiscard]] std::uint64_t file_offset(const Cursor& c) const {
-    return c.chunk_start0 + c.block * block_span_ + c.pos;
+    return c.chunk_start0 + c.block * view_.block_span + c.pos;
   }
 
   // Advance the logical write cursor by `n` payload bytes, growing
-  // chunk_bytes_; members mirror exactly what the collector writes.
+  // view_.chunk_bytes; members mirror exactly what the collector writes.
   void record_written(std::uint64_t n);
-
-  // How many payload bytes this rank can still read (member-side book).
-  [[nodiscard]] std::uint64_t remaining_from(
-      const Cursor& c, std::span<const std::uint64_t> chunk_bytes) const;
 
   Status write_as_collector(fs::DataView own,
                             const std::vector<std::uint64_t>& sizes);
@@ -161,26 +164,17 @@ class Collective {
   Result<std::uint64_t> read_impl(std::span<std::byte> out, bool skip,
                                   std::uint64_t want);
 
-  fs::FileSystem* fs_ = nullptr;
   par::Comm* gcom_ = nullptr;
-  par::Comm* lcom_ = nullptr;   // per physical file
+  core::FilePlacement place_;   // the physical file and its tasks
   par::Comm* group_ = nullptr;  // aggregation group within the file
-  std::unique_ptr<fs::File> file_;  // collectors only
-  std::string path_;
   bool writable_ = false;
   bool closed_ = false;
-  int nfiles_ = 1;
-  int filenum_ = 0;
-  int lrank_ = 0;
-  std::uint64_t granule_ = 0;
   std::uint64_t buffer_bytes_ = 0;
-  std::uint64_t data_start_ = 0;
-  std::uint64_t block_span_ = 0;
-
+  // From the shared open; the file handle is held by collectors only.
+  // chunk_bytes: payload bytes per own chunk so far (write mode) or as
+  // recorded in metablock 2 (read mode).
+  core::ChunkView view_;
   Cursor self_;
-  // Write mode: payload bytes per own chunk so far. Read mode: payload
-  // bytes per own chunk as recorded in metablock 2.
-  std::vector<std::uint64_t> chunk_bytes_;
 
   // Collector only: member geometry and read-side chunk usage (one flat
   // gather, sliced per group rank). Entry 0 mirrors self_ (both cursors
@@ -188,5 +182,13 @@ class Collective {
   std::vector<Cursor> members_;
   par::Comm::FlatGatherU64 member_chunk_bytes_;
 };
+
+// One whole multifile in one collective call: every rank writes `payload`
+// as its logical file, aggregated through Collective when `aggregation` is
+// given, else through core::SionParFile.
+Status write_multifile(fs::FileSystem& fs, par::Comm& gcom,
+                       const core::ParOpenSpec& spec,
+                       const CollectiveConfig* aggregation,
+                       fs::DataView payload);
 
 }  // namespace sion::ext

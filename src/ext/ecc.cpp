@@ -9,6 +9,7 @@
 #include "common/crc32c.h"
 #include "common/strings.h"
 #include "core/metadata.h"
+#include "core/multifile.h"
 #include "ext/gf256.h"
 #include "fs/path.h"
 #include "par/engine.h"
@@ -136,19 +137,6 @@ Result<ParityHeader> parity_usable(fs::FileSystem& fs, const std::string& path,
                              path.c_str()));
   }
   return h;
-}
-
-// A primary physical file is usable when it opens and both metablocks
-// parse — what the restart reader needs (same probe as ext::Buddy's).
-bool data_usable(fs::FileSystem& fs, const std::string& path, int k) {
-  auto file = fs.open_read(path);
-  if (!file.ok()) return false;
-  auto header = core::read_header(*file.value());
-  if (!header.ok()) return false;
-  if (static_cast<int>(header.value().nfiles) != k) return false;
-  auto meta2 = core::read_meta2(*file.value(), header.value());
-  if (!meta2.ok()) return false;
-  return meta2.value().bytes_written.size() == header.value().ntasks;
 }
 
 EccConfig derived(const EccConfig& config, int nfiles) {
@@ -285,24 +273,6 @@ std::vector<GfMulTable> make_tables(std::span<const std::uint8_t> coeffs) {
   tables.reserve(coeffs.size());
   for (const std::uint8_t c : coeffs) tables.emplace_back(c);
   return tables;
-}
-
-// Write one multifile (the ECC primary) through the ordinary writers.
-Status write_primary(fs::FileSystem& fs, par::Comm& gcom,
-                     const core::ParOpenSpec& spec, const EccConfig& config,
-                     fs::DataView payload) {
-  if (config.collective) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion,
-        Collective::open_write(fs, gcom, spec, config.collective_config));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
-  }
-  SION_ASSIGN_OR_RETURN(auto sion,
-                        core::SionParFile::open_write(fs, gcom, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
 }
 
 // Reconstruct lost data file `d` on disk, byte-identically: decode
@@ -505,27 +475,19 @@ Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
   // The parity layout must be reproducible at heal time from the file
   // geometry alone, so the block size is pinned up front (the primary's
   // writers would otherwise detect it file by file).
-  std::uint64_t fsblksize = spec.fsblksize;
-  if (fsblksize == 0) {
-    Status st;
-    if (gcom.rank() == 0) {
-      auto detected = fs.block_size(fs::parent(spec.filename));
-      if (detected.ok()) {
-        fsblksize = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kEccFailed));
-    fsblksize = gcom.bcast_u64(fsblksize, 0);
-  }
+  SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
+                        core::agree_block_size(fs, gcom, nullptr,
+                                               spec.filename, spec.fsblksize,
+                                               kEccFailed));
 
   core::ParOpenSpec pspec = spec;
   pspec.nfiles = k;
   pspec.fsblksize = fsblksize;
   pspec.mapping = core::Mapping::kContiguous;
   pspec.custom_file_of_rank.clear();
-  SION_RETURN_IF_ERROR(write_primary(fs, gcom, pspec, cfg, payload));
+  SION_RETURN_IF_ERROR(write_multifile(
+      fs, gcom, pspec, cfg.collective ? &cfg.collective_config : nullptr,
+      payload));
 
   return encode_parity(fs, gcom, spec.filename, cfg);
 }
@@ -709,7 +671,7 @@ Result<EccProbe> Ecc::probe(fs::FileSystem& fs, const std::string& name,
   }
   for (int d = 0; d < k; ++d) {
     const std::string path = core::physical_file_name(name, d, k);
-    if (!data_usable(fs, path, k)) continue;
+    if (!core::physical_file_usable(fs, path, k)) continue;
     p.data_ok[static_cast<std::size_t>(d)] = 1;
     if (!have_geometry) {
       // No usable parity: lengths from the files themselves (enough for

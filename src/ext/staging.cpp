@@ -1,10 +1,11 @@
 #include "ext/staging.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
-#include "core/metadata.h"
+#include "core/multifile.h"
 #include "fs/path.h"
 #include "fs/sim/simfs.h"
 #include "par/engine.h"
@@ -230,17 +231,8 @@ Status Staging::write_staged(std::uint64_t index, fs::DataView payload) {
   core::ParOpenSpec spec = sion_spec_;
   spec.filename = slot_base(index);
   spec.chunksize = std::max<std::uint64_t>(1, payload.size());
-  if (collective_.has_value()) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion, Collective::open_write(*fast_, *comm_, spec, *collective_));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
-  }
-  SION_ASSIGN_OR_RETURN(auto sion,
-                        core::SionParFile::open_write(*fast_, *comm_, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
+  return write_multifile(*fast_, *comm_, spec,
+                         collective_ ? &*collective_ : nullptr, payload);
 }
 
 Status Staging::wait(std::uint64_t index) {
@@ -356,44 +348,10 @@ Status Staging::copy_file(const std::string& src_name,
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, src->stat());
 
   SION_ASSIGN_OR_RETURN(auto dst, pfs_->create(dst_name));
-  std::vector<std::byte> buffer(config_.copy_buffer_bytes);
-  std::uint64_t off = 0;
-  while (off < st.size) {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(buffer.size(), st.size - off);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t got,
-        src->pread(std::span<std::byte>(buffer.data(),
-                                        static_cast<std::size_t>(want)),
-                   off));
-    if (got != want) {
-      return Corrupt(strformat("staged file '%s' short read at %llu",
-                               src_name.c_str(),
-                               static_cast<unsigned long long>(off)));
-    }
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(
-                        buffer.data(), static_cast<std::size_t>(got))),
-                    off));
-    if (put != got) {
-      return IoError(strformat("short write draining '%s'",
-                               dst_name.c_str()));
-    }
-    off += got;
-  }
-  if (patch_filenum >= 0) {
-    header.filenum = static_cast<std::uint32_t>(patch_filenum);
-    const std::vector<std::byte> hdr = header.serialize();
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(hdr)), 0));
-    if (put != hdr.size()) {
-      return IoError(strformat("short header patch on '%s'",
-                               dst_name.c_str()));
-    }
-  }
-  return Status::Ok();
+  std::optional<std::uint32_t> filenum;
+  if (patch_filenum >= 0) filenum = static_cast<std::uint32_t>(patch_filenum);
+  return core::copy_physical_file(*src, header, st.size, *dst,
+                                  config_.copy_buffer_bytes, filenum);
 }
 
 }  // namespace sion::ext

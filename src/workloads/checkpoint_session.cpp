@@ -79,6 +79,28 @@ ext::RemapConfig remap_config_of(const CheckpointSpec& spec) {
   return config;
 }
 
+// Runs `use` on multifile `name` opened for a same-task-count read, through
+// ext::Collective when the spec aggregates and core::SionParFile otherwise
+// (both offer the read surface `use` needs), then closes it.
+template <typename Fn>
+Status with_sion_reader(fs::FileSystem& fs, par::Comm& comm,
+                        const CheckpointSpec& spec, const std::string& name,
+                        Fn&& use) {
+  if (spec.collective.has_value()) {
+    SION_ASSIGN_OR_RETURN(
+        auto sion, ext::Collective::open_read(fs, comm, name,
+                                              *spec.collective));
+    const Status st = use(*sion);
+    SION_RETURN_IF_ERROR(sion->close());
+    return st;
+  }
+  SION_ASSIGN_OR_RETURN(auto sion,
+                        core::SionParFile::open_read(fs, comm, name));
+  const Status st = use(*sion);
+  SION_RETURN_IF_ERROR(sion->close());
+  return st;
+}
+
 // The same-task-count compressed read path: frame boundaries do not respect
 // chunk boundaries, so every task fetches its entire raw stream and decodes
 // it tolerantly. The decode verdict is agreed collectively so a rank whose
@@ -91,29 +113,10 @@ Status restore_sion_compressed(fs::FileSystem& fs, par::Comm& comm,
                                ext::StreamLossReport* loss) {
   const bool discard = out.empty();
   std::vector<std::byte> rawbytes;
-  Status st;
-  if (spec.collective.has_value()) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion, ext::Collective::open_read(fs, comm, name,
-                                              *spec.collective));
-    auto data = sion->read_all();
-    if (data.ok()) {
-      rawbytes = std::move(data).value();
-    } else {
-      st = data.status();
-    }
-    SION_RETURN_IF_ERROR(sion->close());
-  } else {
-    SION_ASSIGN_OR_RETURN(auto sion,
-                          core::SionParFile::open_read(fs, comm, name));
-    auto data = sion->read_remaining();
-    if (data.ok()) {
-      rawbytes = std::move(data).value();
-    } else {
-      st = data.status();
-    }
-    SION_RETURN_IF_ERROR(sion->close());
-  }
+  Status st = with_sion_reader(fs, comm, spec, name, [&](auto& sion) {
+    SION_ASSIGN_OR_RETURN(rawbytes, core::read_whole_stream(sion));
+    return Status::Ok();
+  });
   if (st.ok()) {
     ext::StreamLossReport mine;
     auto decoded = ext::decompress_stream(rawbytes, &mine);
@@ -342,18 +345,9 @@ Status CheckpointSession::write_now(const std::string& name,
         return ext::Ecc::write(*fs_, *comm_, open, ecc_config_of(spec),
                                payload);
       }
-      if (spec.collective.has_value()) {
-        SION_ASSIGN_OR_RETURN(
-            auto sion,
-            ext::Collective::open_write(*fs_, *comm_, open, *spec.collective));
-        SION_RETURN_IF_ERROR(sion->write(payload));
-        return sion->close();
-      }
-      SION_ASSIGN_OR_RETURN(auto sion,
-                            core::SionParFile::open_write(*fs_, *comm_, open));
-      SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-      (void)n;
-      return sion->close();
+      return ext::write_multifile(
+          *fs_, *comm_, open,
+          spec.collective ? &*spec.collective : nullptr, payload);
     }
     case IoStrategy::kSingleFileSeq: {
       baseline::SingleFileSeqOptions options;
@@ -435,35 +429,19 @@ Status CheckpointSession::restore(fs::FileSystem& fs, par::Comm& comm,
             fs, comm, spec, name, expected_bytes,
             discard ? std::span<std::byte>{} : out.subspan(0, expected_bytes),
             &local_loss));
-      } else if (spec.collective.has_value()) {
-        SION_ASSIGN_OR_RETURN(
-            auto sion,
-            ext::Collective::open_read(fs, comm, name, *spec.collective));
-        if (sion->bytes_remaining_total() != expected_bytes) {
-          return Corrupt("checkpoint size does not match expectation");
-        }
-        if (discard) {
-          SION_RETURN_IF_ERROR(sion->read_skip(expected_bytes));
-        } else {
-          SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                                sion->read(out.subspan(0, expected_bytes)));
-          if (n != expected_bytes) return Corrupt("short checkpoint read");
-        }
-        SION_RETURN_IF_ERROR(sion->close());
       } else {
-        SION_ASSIGN_OR_RETURN(auto sion,
-                              core::SionParFile::open_read(fs, comm, name));
-        if (sion->bytes_remaining_total() != expected_bytes) {
-          return Corrupt("checkpoint size does not match expectation");
-        }
-        if (discard) {
-          SION_RETURN_IF_ERROR(sion->read_skip(expected_bytes));
-        } else {
-          SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                                sion->read(out.subspan(0, expected_bytes)));
-          if (n != expected_bytes) return Corrupt("short checkpoint read");
-        }
-        SION_RETURN_IF_ERROR(sion->close());
+        SION_RETURN_IF_ERROR(
+            with_sion_reader(fs, comm, spec, name, [&](auto& sion) {
+              if (sion.bytes_remaining_total() != expected_bytes) {
+                return Corrupt("checkpoint size does not match expectation");
+              }
+              if (discard) return sion.read_skip(expected_bytes);
+              SION_ASSIGN_OR_RETURN(
+                  const std::uint64_t n,
+                  sion.read(out.subspan(0, expected_bytes)));
+              if (n != expected_bytes) return Corrupt("short checkpoint read");
+              return Status::Ok();
+            }));
       }
       if (spec.compression.has_value() &&
           spec.compression->loss_report != nullptr) {

@@ -343,6 +343,22 @@ TEST(CollectiveTest, RejectsChunkFramesAndZeroChunksize) {
   });
 }
 
+TEST(CollectiveTest, OpenReadRejectsChunkFramedFile) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(4, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "framed.sion";
+    spec.chunksize = 1024;
+    spec.chunk_frames = true;
+    auto sion = core::SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+    ASSERT_TRUE(sion.value()->close().ok());
+    auto coll = Collective::open_read(fs, world, "framed.sion", {});
+    EXPECT_FALSE(coll.ok()) << "rank " << world.rank();
+  });
+}
+
 TEST(CollectiveTest, SplitGroupsHelper) {
   par::Engine engine;
   engine.run(10, [&](par::Comm& world) {

@@ -12,6 +12,7 @@
 #include "common/units.h"
 #include "core/api.h"
 #include "fs/posix_fs.h"
+#include "fs/sim/fault.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
 #include "par/comm.h"
@@ -168,6 +169,32 @@ TEST(MetadataTest, Meta2RejectsForgedTaskCount) {
     auto r = FileMeta2::parse(bytes);
     ASSERT_FALSE(r.ok()) << forged;
     EXPECT_EQ(r.status().code(), ErrorCode::kCorrupt) << forged;
+  }
+}
+
+TEST(MetadataTest, ReadMeta2RejectsTaskCountMismatch) {
+  fs::SimFs fs(fs::TestbedConfig());
+  FileHeader h;
+  h.fsblksize = 4096;
+  h.ntasks = 2;
+  h.global_ranks = {0, 1};
+  h.chunksizes_req = {100, 100};
+  for (const std::size_t listed : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{3}}) {
+    const std::string path = strformat("count%zu.sion", listed);
+    auto file = fs.create(path).value();
+    ASSERT_TRUE(file->pwrite(DataView(h.serialize()), 0).ok());
+    FileMeta2 m;
+    m.bytes_written.assign(listed, std::vector<std::uint64_t>{7});
+    ASSERT_TRUE(write_meta2_and_trailer(*file, 4096, 4096, m).ok());
+    const FileHeader closed = read_header(*file).value();
+    auto meta2 = read_meta2(*file, closed);
+    if (listed == h.ntasks) {
+      EXPECT_TRUE(meta2.ok()) << meta2.status().to_string();
+    } else {
+      ASSERT_FALSE(meta2.ok()) << listed;
+      EXPECT_EQ(meta2.status().code(), ErrorCode::kCorrupt) << listed;
+    }
   }
 }
 
@@ -505,6 +532,31 @@ TEST(ParFileTest, OpenMissingFileFailsEverywhere) {
   });
 }
 
+TEST(ParFileTest, NonMasterOpenFailureFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(8, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "flaky.sion";
+    spec.chunksize = 4096;
+    auto sion = SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+    ASSERT_TRUE(sion.value()->write(DataView::fill(std::byte{1}, 100)).ok());
+    ASSERT_TRUE(sion.value()->close().ok());
+  });
+  // With this seed the master's open succeeds and two other tasks' opens
+  // fail: a task without a file handle must not report a usable open.
+  fs::FaultPlan plan;
+  plan.seed = 1;
+  plan.open_error("flaky.sion", 0.3);
+  fs.arm_faults(plan);
+  engine.run(8, [&](par::Comm& world) {
+    auto sion = SionParFile::open_read(fs, world, "flaky.sion");
+    EXPECT_FALSE(sion.ok()) << "rank " << world.rank();
+  });
+  EXPECT_EQ(fs.fault_counters().open_errors, 2u);
+}
+
 // The 64-byte chunk recovery frame is an on-disk format that sionrepair
 // reads back, so its bytes are pinned: task 1's frame of block 1 after the
 // task wrote 70000 bytes into 64 KiB chunks (4528 bytes land in block 1).
@@ -563,6 +615,35 @@ TEST(ChunkFrameTest, WrittenFrameBytesArePinned) {
   ASSERT_TRUE(serial->write(DataView::fill(std::byte{7}, 70000)).ok());
   ASSERT_TRUE(serial->close().ok());
   EXPECT_EQ(frame_hex_at(fs, "pinned_serial.sion", 1, 1), kPinnedFrameHex);
+}
+
+TEST(ChunkFrameTest, CodecMatchesThePinnedFrame) {
+  const ChunkFrame frame{1, 1, 1, 4528};
+  const std::vector<std::byte> bytes = encode_chunk_frame(frame);
+  EXPECT_EQ(hex_of(bytes), kPinnedFrameHex);
+
+  auto parsed = parse_chunk_frame(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().grank, 1u);
+  EXPECT_EQ(parsed.value().lrank, 1u);
+  EXPECT_EQ(parsed.value().block, 1u);
+  EXPECT_EQ(parsed.value().bytes_written, 4528u);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{26}}) {
+    std::vector<std::byte> damaged = bytes;
+    damaged[at] ^= std::byte{0x10};
+    EXPECT_EQ(parse_chunk_frame(damaged).status().code(), ErrorCode::kCorrupt)
+        << at;
+  }
+  EXPECT_FALSE(parse_chunk_frame(std::span(bytes).first(40)).ok());
+
+  // A fresh frame patched to the final byte count reads like the pinned one.
+  fs::SimFs fs(fs::TestbedConfig());
+  auto file = fs.create("patched.sion").value();
+  ASSERT_TRUE(write_chunk_frame(*file, 128, ChunkFrame{1, 1, 1, 0}).ok());
+  ASSERT_TRUE(patch_chunk_frame(*file, 128, frame).ok());
+  std::vector<std::byte> on_disk(kChunkFrameSize);
+  ASSERT_EQ(file->pread(on_disk, 128).value(), kChunkFrameSize);
+  EXPECT_EQ(hex_of(on_disk), kPinnedFrameHex);
 }
 
 TEST(ParFileTest, CustomMappingRoundtrip) {
