@@ -12,7 +12,6 @@ Result<FileLayout> FileLayout::create(
     return InvalidArgument("a SION file needs at least one task");
   }
   FileLayout layout;
-  layout.fsblksize_ = fsblksize;
   layout.aligned_.reserve(chunksizes_req.size());
   layout.prefix_.reserve(chunksizes_req.size());
   std::uint64_t running = 0;

@@ -32,11 +32,6 @@ class FileLayout {
       const std::vector<std::uint64_t>& chunksizes_req,
       std::uint64_t meta1_bytes);
 
-  [[nodiscard]] int ntasks() const {
-    return static_cast<int>(aligned_.size());
-  }
-  [[nodiscard]] std::uint64_t fsblksize() const { return fsblksize_; }
-
   // Block-aligned chunk size of local task `t`.
   [[nodiscard]] std::uint64_t chunksize(int t) const {
     return aligned_[static_cast<std::size_t>(t)];
@@ -58,13 +53,7 @@ class FileLayout {
     return data_start_ + b * block_span_ + chunk_offset_in_block(t);
   }
 
-  // Where metablock 2 lives once `nblocks` blocks exist.
-  [[nodiscard]] std::uint64_t meta2_offset(std::uint64_t nblocks) const {
-    return data_start_ + nblocks * block_span_;
-  }
-
  private:
-  std::uint64_t fsblksize_ = 0;
   std::uint64_t data_start_ = 0;
   std::uint64_t block_span_ = 0;
   std::vector<std::uint64_t> aligned_;

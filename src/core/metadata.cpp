@@ -1,5 +1,6 @@
 #include "core/metadata.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/codec.h"
@@ -123,7 +124,7 @@ std::uint64_t bytes_from(std::span<const std::uint64_t> chunk_bytes,
                          std::uint64_t block, std::uint64_t pos) {
   std::uint64_t total = 0;
   for (std::uint64_t b = block; b < chunk_bytes.size(); ++b) {
-    total += chunk_bytes[b] - (b == block ? pos : 0);
+    total += chunk_bytes[b] - (b == block ? std::min(pos, chunk_bytes[b]) : 0);
   }
   return total;
 }

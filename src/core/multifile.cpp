@@ -263,14 +263,15 @@ Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
         std::iota(granks.begin(), granks.end(), *spec.first_global_rank);
       }
       header.global_ranks = std::move(granks);
+      header.chunksizes_req = chunksizes;
       if (spec.pad_block != 0) {
         // The serialized size depends only on the task count, so the
         // unpadded header already has the final metablock-1 size.
         pad_group_ends(chunksizes, spec.fsblksize,
                        round_up(header.serialize().size(), spec.fsblksize),
                        spec.pad_block, spec.pad_group);
+        header.chunksizes_req = chunksizes;
       }
-      header.chunksizes_req = chunksizes;
       SION_ASSIGN_OR_RETURN(CreatedFile created,
                             create_with_metablock1(fs, place.path, header));
       view.file = std::move(created.file);

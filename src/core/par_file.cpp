@@ -181,16 +181,11 @@ Result<std::uint64_t> SionParFile::write(fs::DataView data) {
   std::uint64_t done = 0;
   while (done < data.size()) {
     if (pos_ == capacity_) SION_RETURN_IF_ERROR(advance_chunk_write());
-    const std::uint64_t take =
-        std::min(capacity_ - pos_, data.size() - done);
     SION_ASSIGN_OR_RETURN(
         const std::uint64_t n,
-        view_.file->pwrite(data.subview(done, take),
-                      chunk_file_offset(block_) + pos_));
-    pos_ += n;
-    view_.chunk_bytes[block_] += n;
+        write_raw(data.subview(done, std::min(capacity_ - pos_,
+                                              data.size() - done))));
     done += n;
-    if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
   }
   return done;
 }
@@ -199,16 +194,7 @@ Result<std::uint64_t> SionParFile::write(fs::DataView data) {
 // read path
 // ---------------------------------------------------------------------------
 
-bool SionParFile::eof() const {
-  std::uint64_t b = block_;
-  std::uint64_t p = pos_;
-  while (b < view_.chunk_bytes.size()) {
-    if (p < view_.chunk_bytes[b]) return false;
-    ++b;
-    p = 0;
-  }
-  return true;
-}
+bool SionParFile::eof() const { return bytes_remaining_total() == 0; }
 
 std::uint64_t SionParFile::bytes_avail_in_chunk() const {
   if (block_ >= view_.chunk_bytes.size()) return 0;

@@ -325,19 +325,11 @@ Result<std::uint64_t> SionSerialFile::write(fs::DataView data) {
   std::uint64_t done = 0;
   while (done < data.size()) {
     if (pos_ == capacity(rank_)) SION_RETURN_IF_ERROR(advance_chunk_write());
-    const std::uint64_t take =
-        std::min(capacity(rank_) - pos_, data.size() - done);
     SION_ASSIGN_OR_RETURN(
         const std::uint64_t n,
-        file_of(rank_).pwrite(data.subview(done, take),
-                              chunk_file_offset(rank_, block_) + pos_));
-    pos_ += n;
-    auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank_)];
-    chunks[block_] = std::max(chunks[block_], pos_);
+        write_raw(data.subview(done, std::min(capacity(rank_) - pos_,
+                                              data.size() - done))));
     done += n;
-    if (locations_.chunk_frames) {
-      SION_RETURN_IF_ERROR(patch_frame(rank_, block_));
-    }
   }
   return done;
 }
@@ -347,16 +339,8 @@ Result<std::uint64_t> SionSerialFile::write(fs::DataView data) {
 // ---------------------------------------------------------------------------
 
 bool SionSerialFile::eof() const {
-  const auto& chunks =
-      locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  std::uint64_t b = block_;
-  std::uint64_t p = pos_;
-  while (b < chunks.size()) {
-    if (p < chunks[b]) return false;
-    ++b;
-    p = 0;
-  }
-  return true;
+  return bytes_from(locations_.bytes_written[static_cast<std::size_t>(rank_)],
+                    block_, pos_) == 0;
 }
 
 std::uint64_t SionSerialFile::bytes_avail_in_chunk() const {

@@ -112,20 +112,17 @@ Result<bool> repair_one(fs::FileSystem& fs, const std::string& path,
   return true;
 }
 
-// Light probe of a whole multifile set rooted at `base`: file 0's header
-// gives the file count, then every physical file must be usable.
-bool multifile_ok(fs::FileSystem& fs, const std::string& base) {
-  auto first = core::discover_multifile(fs, base);
-  if (!first.ok()) return false;
-  const int nfiles = static_cast<int>(first.value().header.nfiles);
-  first.value().file.reset();
+// Light probe: how many of the `nfiles` physical files of the set rooted at
+// `base` are usable.
+int usable_files(fs::FileSystem& fs, const std::string& base, int nfiles) {
+  int usable = 0;
   for (int f = 0; f < nfiles; ++f) {
-    if (!core::physical_file_usable(
-            fs, core::physical_file_name(base, f, nfiles), nfiles)) {
-      return false;
-    }
+    usable += core::physical_file_usable(
+                  fs, core::physical_file_name(base, f, nfiles), nfiles)
+                  ? 1
+                  : 0;
   }
-  return true;
+  return usable;
 }
 
 }  // namespace
@@ -183,12 +180,16 @@ Result<ProtectionSet> discover_protection(fs::FileSystem& fs,
   ProtectionSet set;
   for (int k = 1;; ++k) {
     const std::string base = Buddy::replica_name(name, k);
-    if (!fs.exists(base) &&
-        !fs.exists(core::physical_file_name(base, 0, 2))) {
-      break;
-    }
+    auto first = core::discover_multifile(fs, base);
+    if (!first.ok() && first.status().code() == ErrorCode::kNotFound) break;
     set.replica_sets.push_back(k);
-    if (multifile_ok(fs, base)) set.intact_replica_sets.push_back(k);
+    if (!first.ok()) continue;
+    // File 0's header gives the file count; every file must be usable.
+    const int nfiles = static_cast<int>(first.value().header.nfiles);
+    first.value().file.reset();
+    if (usable_files(fs, base, nfiles) == nfiles) {
+      set.intact_replica_sets.push_back(k);
+    }
   }
   for (int j = 0;; ++j) {
     const std::string path = Ecc::parity_name(name, j);
@@ -202,14 +203,7 @@ Result<ProtectionSet> discover_protection(fs::FileSystem& fs,
     }
     if (info.value().intact) ++set.parity_intact;
   }
-  if (set.ecc_k > 0) {
-    for (int d = 0; d < set.ecc_k; ++d) {
-      if (core::physical_file_usable(
-              fs, core::physical_file_name(name, d, set.ecc_k), set.ecc_k)) {
-        ++set.data_intact;
-      }
-    }
-  }
+  set.data_intact = usable_files(fs, name, set.ecc_k);
   return set;
 }
 

@@ -11,6 +11,7 @@
 #include "common/strings.h"
 #include "common/units.h"
 #include "core/api.h"
+#include "core/multifile.h"
 #include "ext/collective.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
@@ -264,6 +265,43 @@ TEST(CollectiveTest, PackedAlignmentPacksChunksAtGranule) {
     }
     ASSERT_TRUE(sion.value()->close().ok());
   });
+}
+
+// The padding is computed against the final metablock-1 size. At 300 tasks
+// the requested chunk sizes listed in metablock 1 push the data region past
+// the first 4 KiB granule, so a size measured without them would leave
+// every group end one granule short of a real block boundary.
+TEST(CollectiveTest, PackedGroupsEndOnFsBlocksInAWideFile) {
+  fs::SimFs fs(fs::TestbedConfig());  // 64 KiB fs blocks
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 4;
+  cfg.alignment = CollectiveConfig::Alignment::kPacked;
+  cfg.packing_granule = 4 * kKiB;
+  const int n = 300;
+
+  engine.run(n, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "wide.sion";
+    spec.chunksize = 100 + 37 * static_cast<std::uint64_t>(world.rank());
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+
+  auto file = fs.open_read("wide.sion");
+  ASSERT_TRUE(file.ok()) << file.status().to_string();
+  auto header = core::read_header(*file.value());
+  ASSERT_TRUE(header.ok()) << header.status().to_string();
+  ASSERT_EQ(header.value().ntasks, static_cast<std::uint32_t>(n));
+  auto layout = core::header_layout(header.value());
+  ASSERT_TRUE(layout.ok()) << layout.status().to_string();
+  EXPECT_EQ(layout.value().data_start(), 8 * kKiB);
+  for (int t = 3; t < n; t += 4) {
+    const std::uint64_t end =
+        layout.value().chunk_start(t, 0) + layout.value().chunksize(t);
+    EXPECT_EQ(end % (64 * kKiB), 0u) << "group ending at task " << t;
+  }
 }
 
 TEST(CollectiveTest, MultipleFilesAndSkipRestore) {

@@ -60,7 +60,23 @@ TEST(FileLayoutTest, BlocksTile) {
   auto layout = FileLayout::create(1024, {1000, 3000}, 10).value();
   EXPECT_EQ(layout.chunk_start(0, 1) - layout.chunk_start(0, 0),
             layout.block_span());
-  EXPECT_EQ(layout.meta2_offset(2),
+  // Metablock 2 follows the last block in use.
+  fs::SimFs fs(fs::TestbedConfig());
+  FileHeader h;
+  h.fsblksize = 1024;
+  h.ntasks = 2;
+  h.global_ranks = {0, 1};
+  h.chunksizes_req = {1000, 3000};
+  auto file = fs.create("tile.sion").value();
+  ASSERT_TRUE(file->pwrite(DataView(h.serialize()), 0).ok());
+  FileMeta2 m;
+  m.bytes_written = {{1000, 7}, {5}};
+  ASSERT_TRUE(write_meta2_and_trailer(*file, layout.data_start(),
+                                      layout.block_span(), m)
+                  .ok());
+  const FileHeader closed = read_header(*file).value();
+  EXPECT_EQ(closed.nblocks, 2u);
+  EXPECT_EQ(closed.meta2_offset,
             layout.data_start() + 2 * layout.block_span());
 }
 
