@@ -31,7 +31,6 @@ class FileMap {
                               const std::vector<int>& custom_map);
 
   [[nodiscard]] int nfiles() const { return nfiles_; }
-  [[nodiscard]] int ntasks() const { return ntasks_; }
   [[nodiscard]] int file_of(int rank) const;
   // Index of `rank` among the tasks of its file, in ascending rank order.
   [[nodiscard]] int local_index(int rank) const;

@@ -249,8 +249,8 @@ Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
   view.fsblksize = spec.fsblksize;
   view.flags = spec.flags;
   std::vector<std::uint64_t> chunk_offsets;
-  Status st;
-  if (lcom.rank() == 0) {
+  Status st = spec.task_status;
+  if (lcom.rank() == 0 && st.ok()) {
     st = [&]() __attribute__((noinline)) -> Status {
       FileHeader header;
       header.flags = spec.flags;
@@ -285,7 +285,11 @@ Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, spec.what));
+  // The collectives of par::share_status_global, with a task's own failure
+  // joining the global vote (as in open_handles).
+  Status shared = par::share_status(lcom, st, 0, spec.what);
+  if (shared.ok()) shared = st;
+  SION_RETURN_IF_ERROR(par::agree_status(gcom, shared, spec.what));
 
   // Everyone learns where its chunks live; no further communication is
   // needed for any later chunk (paper 3.1). The geometry broadcasts fuse

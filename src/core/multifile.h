@@ -145,6 +145,11 @@ struct CreateSpec {
   bool scatter_chunksizes = false;
   bool open_handle = true;  // the master always holds one
   const char* what = "";    // message for failures on other tasks
+  // This task's own failure from before the create (e.g. a chunk too small
+  // for its recovery frame). It joins the create's agreement, so every
+  // task fails instead of the others deadlocking in the collectives; the
+  // master skips the create when its own check failed.
+  Status task_status;
 };
 
 // Collective create of the physical file `place` names, over its

@@ -37,9 +37,6 @@ SionParFile::SionParFile(par::Comm& gcom, FilePlacement place, ChunkView view,
 
 Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
     fs::FileSystem& fs, par::Comm& gcom, const ParOpenSpec& spec) {
-  if (spec.chunksize == 0) {
-    return InvalidArgument("chunksize must be positive");
-  }
   SION_ASSIGN_OR_RETURN(
       const FileMap map,
       FileMap::make(spec.mapping, gcom.size(), spec.nfiles,
@@ -49,16 +46,20 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
                         agree_block_size(fs, *place.lcom, &gcom, place.path,
                                          spec.fsblksize, kOpenFailed));
-  if (spec.chunk_frames &&
-      round_up(spec.chunksize, fsblksize) <= kChunkFrameSize) {
-    return InvalidArgument("chunk too small for recovery frame");
-  }
-
   CreateSpec create;
   create.flags = spec.chunk_frames ? kFlagChunkFrames : 0;
   create.fsblksize = fsblksize;
   create.chunksize = spec.chunksize;
   create.what = kOpenFailed;
+  // Checks of this task's own spec: the other tasks are already inside the
+  // collective open, so a failure here must join its agreement rather than
+  // return early.
+  if (spec.chunksize == 0) {
+    create.task_status = InvalidArgument("chunksize must be positive");
+  } else if (spec.chunk_frames &&
+             round_up(spec.chunksize, fsblksize) <= kChunkFrameSize) {
+    create.task_status = InvalidArgument("chunk too small for recovery frame");
+  }
   SION_ASSIGN_OR_RETURN(ChunkView view,
                         create_physical_file(fs, gcom, place, create));
   auto out = std::unique_ptr<SionParFile>(

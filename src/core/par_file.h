@@ -66,7 +66,9 @@ struct ParOpenSpec {
 class SionParFile {
  public:
   // Collective open for writing; every task of `gcom` must call it with the
-  // same filename/nfiles/mapping (chunksize may differ per task).
+  // same filename/nfiles/mapping (chunksize may differ per task). A task
+  // whose chunksize is zero or too small for its recovery frame fails with
+  // kInvalidArgument, and the open fails on every other task as well.
   static Result<std::unique_ptr<SionParFile>> open_write(
       fs::FileSystem& fs, par::Comm& gcom, const ParOpenSpec& spec);
 

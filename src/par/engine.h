@@ -10,7 +10,7 @@
 // (`fs::SimFs`) and by the collective cost model (`par::NetworkModel`), which
 // makes the benchmark tables reproducible run-to-run on any host.
 //
-// Host performance at 64Ki tasks hinges on four engine choices (see the
+// Host performance at 64Ki tasks hinges on six engine choices (see the
 // README "Performance" section for measurements):
 //   * fibers switch through a userspace register swap (par/fiber.h), not
 //     swapcontext(), whose per-switch sigprocmask syscalls dominate a
@@ -22,7 +22,18 @@
 //     *release run* consumed in rank order, instead of ntasks individual
 //     heap pushes/pops (Engine::wake_members);
 //   * a task that yields while still holding the earliest virtual clock
-//     keeps running — no heap traffic, no context switch.
+//     keeps running — no heap traffic, no context switch;
+//   * every handoff prefetches the resume frame (the first 1 KiB above the
+//     saved stack pointer) of the likeliest next fibers — the next member of
+//     the front release run and the top of the ready heap — so the TLB and
+//     cache misses of a cold stack overlap with the current fiber's work;
+//   * taking a member from the front release run leaves the heap of runs
+//     as it is while that run still precedes both heap children (O(1));
+//     only interleaved runs sift down.
+//   The last two cut the median step of the 16Ki-task perfbench open_close
+//   workload from 468 ms to 306 ms (1.56x task steps per second, 10
+//   alternating 30 s runs on a 4-vCPU Xeon VM): each resume otherwise
+//   misses TLB and cache on one of 16Ki stacks spaced 128 KiB apart.
 // None of these change the schedule: the golden determinism suite pins the
 // resulting virtual times bit-for-bit.
 //
@@ -236,9 +247,23 @@ class Engine {
   [[nodiscard]] ReadyEntry run_front_key(const ReleaseRun& run) const {
     return {run.t, (*run.members)[run.next]->rank()};
   }
+  // std heap algorithms build max-heaps; this inverted order keeps the
+  // earliest release run at runs_.front().
+  struct RunAfter {
+    const Engine* engine;
+    bool operator()(const ReleaseRun& a, const ReleaseRun& b) const {
+      return engine->run_front_key(a) > engine->run_front_key(b);
+    }
+  };
   // Pop the earliest member of the earliest release run.
   TaskState* pop_run_front();
-  void sift_runs();
+  // Restore the heap after the front run's key grew.
+  void sift_front_run();
+#ifdef SION_FAST_FIBERS
+  // Start loading the resume frames of the fibers likeliest to run after
+  // the one being entered.
+  void prefetch_likely_next() const;
+#endif
 
   // Earliest runnable task by (vtime, rank) across the ready heap and the
   // release runs, or nullptr when nothing is runnable.

@@ -573,6 +573,44 @@ TEST(ParFileTest, NonMasterOpenFailureFailsEveryTask) {
   EXPECT_EQ(fs.fault_counters().open_errors, 2u);
 }
 
+// A task's own chunk check runs after the collective split and block-size
+// agreement: its failure must reach every task instead of leaving the others
+// deadlocked in the create.
+TEST(ParFileTest, OneTaskWithTooSmallFramedChunkFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  for (const int small_rank : {0, 1}) {  // the file-local master, then not
+    engine.run(4, [&](par::Comm& world) {
+      ParOpenSpec spec;
+      spec.filename = "framed.sion";
+      spec.fsblksize = 64;
+      spec.chunk_frames = true;
+      spec.chunksize = world.rank() == small_rank ? 32 : 4096;
+      auto sion = SionParFile::open_write(fs, world, spec);
+      ASSERT_FALSE(sion.ok()) << "rank " << world.rank();
+      if (world.rank() == small_rank) {
+        EXPECT_EQ(sion.status().code(), ErrorCode::kInvalidArgument);
+      }
+    });
+  }
+}
+
+TEST(ParFileTest, OneTaskWithZeroChunksizeFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(4, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "zero.sion";
+    spec.nfiles = 2;
+    spec.chunksize = world.rank() == 3 ? 0 : 4096;
+    auto sion = SionParFile::open_write(fs, world, spec);
+    ASSERT_FALSE(sion.ok()) << "rank " << world.rank();
+    if (world.rank() == 3) {
+      EXPECT_EQ(sion.status().code(), ErrorCode::kInvalidArgument);
+    }
+  });
+}
+
 // The 64-byte chunk recovery frame is an on-disk format that sionrepair
 // reads back, so its bytes are pinned: task 1's frame of block 1 after the
 // task wrote 70000 bytes into 64 KiB chunks (4528 bytes land in block 1).

@@ -192,6 +192,47 @@ TEST(EngineTest, ManyTasksLowStack) {
   EXPECT_EQ(count.load(), 4096);
 }
 
+// Tasks released by a collective drain as release runs from a heap of runs.
+// Dispatch must follow (vtime, rank) exactly whether the runs interleave by
+// rank (every pop re-sifts the heap) or lie side by side (pops leave the
+// heap as it is). Every task records (now, rank) whenever it resumes; the
+// sequence must be strictly increasing. The last arrival at a barrier is
+// the waker, the member its run skips: the delays make it the first member
+// of its sub-communicator on even steps and the last on odd ones, and every
+// third step staggers the sub-communicators so that their runs are released
+// one after another instead of together.
+TEST(EngineTest, InterleavedReleaseRunsDispatchInKeyOrder) {
+  constexpr int kTasks = 48;
+  constexpr int kSteps = 12;
+  for (const bool interleaved : {true, false}) {
+    SCOPED_TRACE(interleaved ? "split by rank % 3" : "split by rank / 16");
+    Engine engine;
+    std::vector<std::pair<double, int>> resumes;
+    engine.run(kTasks, [&](Comm& world) {
+      TaskState& me = *this_task();
+      const int r = world.rank();
+      const int color = interleaved ? r % 3 : r / 16;
+      Comm* sub = world.split(color, r);
+      for (int step = 0; step < kSteps; ++step) {
+        world.barrier();
+        resumes.emplace_back(me.now(), r);
+        const int waker = step % 2 == 0 ? 0 : sub->size() - 1;
+        double delay =
+            sub->rank() == waker ? 2.0 : 1.0 + 0.01 * ((r + step) % 5);
+        if (step % 3 == 2) delay += 0.25 * color;
+        me.compute(delay);
+        resumes.emplace_back(me.now(), r);
+        sub->barrier();
+        resumes.emplace_back(me.now(), r);
+      }
+    });
+    ASSERT_EQ(resumes.size(), std::size_t{kTasks} * kSteps * 3);
+    for (std::size_t i = 1; i < resumes.size(); ++i) {
+      ASSERT_LT(resumes[i - 1], resumes[i]) << "resume " << i;
+    }
+  }
+}
+
 TEST(BarrierTest, ReleasesAllAtMaxTime) {
   Engine engine;
   engine.run(5, [&](Comm& world) {
