@@ -1,4 +1,4 @@
-// Ablation studies for design choices called out in DESIGN.md. These go
+// Ablation studies for design choices of this reproduction. These go
 // beyond the paper's own tables:
 //
 //  (1) Recovery-frame overhead: the robustness extension (section 6 future

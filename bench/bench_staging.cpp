@@ -64,7 +64,8 @@ fs::SimConfig staged_machine(double scale, double drain_bandwidth) {
   return machine;
 }
 
-CheckpointSpec scenario_spec(const Scenario& s, fs::FileSystem* fast_tier) {
+CheckpointSpec scenario_spec(const Scenario& s, const fs::SimConfig& machine,
+                             fs::FileSystem* fast_tier) {
   CheckpointSpec spec;
   spec.path = "stage.ckpt";
   spec.strategy = IoStrategy::kSion;
@@ -77,6 +78,7 @@ CheckpointSpec scenario_spec(const Scenario& s, fs::FileSystem* fast_tier) {
   if (s.staged) {
     ext::StagingConfig staging;
     staging.fast_tier = fast_tier;
+    staging.machine = machine;
     spec.staging = staging;
   }
   return spec;
@@ -97,7 +99,7 @@ Costs measure_costs(const Scenario& s, int ntasks, std::uint64_t bytes,
       bb = std::make_unique<fs::SimFs>(
           fs::BurstBufferTierConfig(machine, ntasks));
     }
-    const CheckpointSpec spec = scenario_spec(s, bb.get());
+    const CheckpointSpec spec = scenario_spec(s, machine, bb.get());
     par::Engine engine(engine_config_for(machine));
     engine.run(ntasks, [&](par::Comm& world) {
       auto session = CheckpointSession::open(pfs, world, spec);
@@ -132,7 +134,7 @@ Costs measure_costs(const Scenario& s, int ntasks, std::uint64_t bytes,
       bb = std::make_unique<fs::SimFs>(
           fs::BurstBufferTierConfig(machine, ntasks));
     }
-    const CheckpointSpec spec = scenario_spec(s, bb.get());
+    const CheckpointSpec spec = scenario_spec(s, machine, bb.get());
     par::Engine engine(engine_config_for(machine));
     engine.run(ntasks, [&](par::Comm& world) {
       auto session = CheckpointSession::open(pfs, world, spec);

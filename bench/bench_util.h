@@ -1,10 +1,10 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 //
 // Every binary prints one table or figure of the paper's evaluation section
-// (see DESIGN.md for the index). Times are *virtual seconds* from the
-// discrete-event machine models in src/fs/sim — deterministic run-to-run —
-// so the tables are reproducible on any host; bandwidth rows use decimal
-// MB/s like the paper.
+// (the header comment of each bench_*.cpp names it). Times are *virtual
+// seconds* from the discrete-event machine models in src/fs/sim —
+// deterministic run-to-run — so the tables are reproducible on any host;
+// bandwidth rows use decimal MB/s like the paper.
 #pragma once
 
 #include <sys/resource.h>

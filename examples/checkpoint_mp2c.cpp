@@ -170,6 +170,7 @@ int main(int argc, char** argv) {
         fs::BurstBufferTierConfig(machine, ntasks));
     ext::StagingConfig staging;
     staging.fast_tier = burst_buffer.get();
+    staging.machine = machine;
     spec.staging = staging;
   }
   par::EngineConfig config;

@@ -51,10 +51,6 @@ LogLevel log_level() {
   return static_cast<LogLevel>(v);
 }
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 void log_message(LogLevel level, const char* file, int line,
                  const std::string& message) {
   std::lock_guard<std::mutex> lock(g_log_mutex);

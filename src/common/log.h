@@ -17,7 +17,6 @@ enum class LogLevel : int {
 };
 
 LogLevel log_level();
-void set_log_level(LogLevel level);
 void log_message(LogLevel level, const char* file, int line,
                  const std::string& message);
 

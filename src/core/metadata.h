@@ -1,6 +1,6 @@
 // On-disk metadata of a SION physical file: metablock 1 (written at open by
 // the file-local master) and metablock 2 (written at close with the space
-// actually used in every chunk). See DESIGN.md section 4 for the layout.
+// actually used in every chunk). core/layout.h gives the file geometry.
 //
 // Metablock 1 contains two fixed-offset trailer fields (`nblocks`,
 // `meta2_offset`) that are zero after open and patched in place at close —

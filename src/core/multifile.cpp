@@ -228,9 +228,6 @@ Result<std::uint64_t> agree_block_size(fs::FileSystem& fs, par::Comm& lcom,
                         : par::share_status(lcom, st, 0, what));
     fsblksize = lcom.bcast_u64(fsblksize, 0);
   }
-  if (!is_power_of_two(fsblksize)) {
-    return InvalidArgument("file-system block size must be a power of two");
-  }
   return fsblksize;
 }
 
@@ -250,6 +247,10 @@ Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
   view.flags = spec.flags;
   std::vector<std::uint64_t> chunk_offsets;
   Status st = spec.task_status;
+  if (st.ok() && (!is_power_of_two(spec.fsblksize) ||
+                  (spec.pad_block != 0 && !is_power_of_two(spec.pad_block)))) {
+    st = InvalidArgument("file-system block size must be a power of two");
+  }
   if (lcom.rank() == 0 && st.ok()) {
     st = [&]() __attribute__((noinline)) -> Status {
       FileHeader header;

@@ -104,8 +104,10 @@ Result<FilePlacement> place_in_multifile(fs::FileSystem& fs, par::Comm& gcom,
 // The file-system block size: `fsblksize` itself when nonzero; otherwise
 // rank 0 of `lcom` detects it for the directory of `path` (the paper's
 // fstat()), the outcome is shared over `lcom` and, when `gcom` is given,
-// agreed over it, and the value is broadcast over `lcom`. Fails unless the
-// result is a power of two.
+// agreed over it, and the value is broadcast over `lcom`. The result is
+// not checked here: create_physical_file rejects a block size that is not a
+// power of two inside its agreement, so every task fails, not just the one
+// that passed it.
 Result<std::uint64_t> agree_block_size(fs::FileSystem& fs, par::Comm& lcom,
                                        par::Comm* gcom,
                                        const std::string& path,
@@ -148,7 +150,8 @@ struct CreateSpec {
   // This task's own failure from before the create (e.g. a chunk too small
   // for its recovery frame). It joins the create's agreement, so every
   // task fails instead of the others deadlocking in the collectives; the
-  // master skips the create when its own check failed.
+  // master skips the create when its own check failed. A `fsblksize` or
+  // `pad_block` that is not a power of two fails the same way.
   Status task_status;
 };
 

@@ -56,7 +56,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   // return early.
   if (spec.chunksize == 0) {
     create.task_status = InvalidArgument("chunksize must be positive");
-  } else if (spec.chunk_frames &&
+  } else if (spec.chunk_frames && fsblksize != 0 &&
              round_up(spec.chunksize, fsblksize) <= kChunkFrameSize) {
     create.task_status = InvalidArgument("chunk too small for recovery frame");
   }
@@ -281,10 +281,6 @@ std::uint64_t SionParFile::bytes_written_total() const {
 
 std::uint64_t SionParFile::bytes_remaining_total() const {
   return bytes_from(view_.chunk_bytes, block_, pos_);
-}
-
-Result<std::vector<std::byte>> SionParFile::read_remaining() {
-  return read_whole_stream(*this);
 }
 
 }  // namespace sion::core

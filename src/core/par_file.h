@@ -109,11 +109,6 @@ class SionParFile {
   // sion_fread: crosses chunk boundaries internally.
   Result<std::uint64_t> read(std::span<std::byte> out);
 
-  // The entire remaining logical stream as one buffer — the raw-byte
-  // foundation of the transparent decompression path (ext/compress.h),
-  // where frame boundaries do not respect chunk boundaries.
-  Result<std::vector<std::byte>> read_remaining();
-
   // Timing-only read used by benchmarks: charges full I/O cost and advances
   // the logical position without materialising bytes.
   Status read_skip(std::uint64_t nbytes);

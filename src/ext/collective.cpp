@@ -549,10 +549,6 @@ Result<std::uint64_t> Collective::read(std::span<std::byte> out) {
   return read_impl(out, /*skip=*/false, out.size());
 }
 
-Result<std::vector<std::byte>> Collective::read_all() {
-  return core::read_whole_stream(*this);
-}
-
 Status Collective::read_skip(std::uint64_t nbytes) {
   SION_ASSIGN_OR_RETURN(const std::uint64_t n,
                         read_impl({}, /*skip=*/true, nbytes));

@@ -102,12 +102,6 @@ class Collective {
   // of its own logical stream; returns the bytes actually delivered.
   Result<std::uint64_t> read(std::span<std::byte> out);
 
-  // Collective over the group: every member receives its entire remaining
-  // logical stream in one buffer. The compressed-checkpoint restore path
-  // reads whole streams this way because compression frame boundaries do
-  // not respect chunk boundaries (ext/compress.h).
-  Result<std::vector<std::byte>> read_all();
-
   // Timing-only read: charges the full file-system and scatter cost and
   // advances the logical position without materialising payload bytes.
   Status read_skip(std::uint64_t nbytes);

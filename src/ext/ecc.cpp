@@ -386,10 +386,6 @@ int EccProbe::lost_parity() const {
   return lost;
 }
 
-int EccProbe::survivors() const {
-  return k + m - lost_data() - lost_parity();
-}
-
 std::vector<std::byte> EccProbe::serialize() const {
   ByteWriter w;
   w.put_u32(static_cast<std::uint32_t>(k));

@@ -119,8 +119,6 @@ struct EccProbe {
 
   [[nodiscard]] int lost_data() const;
   [[nodiscard]] int lost_parity() const;
-  // Usable data + parity files; >= k means every loss is recoverable.
-  [[nodiscard]] int survivors() const;
 
   [[nodiscard]] std::vector<std::byte> serialize() const;
   static Result<EccProbe> deserialize(std::span<const std::byte> bytes);

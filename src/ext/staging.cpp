@@ -5,12 +5,21 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "common/units.h"
 #include "core/multifile.h"
 #include "fs/path.h"
-#include "fs/sim/simfs.h"
 #include "par/engine.h"
 
 namespace sion::ext {
+
+namespace {
+
+// Fast-tier directory of the staged slot files.
+constexpr char kStagingDir[] = "bb";
+// Copy granule of the lazy materialisation pass.
+constexpr std::uint64_t kCopyBufferBytes = 4 * kMiB;
+
+}  // namespace
 
 Result<std::unique_ptr<Staging>> Staging::open(
     fs::FileSystem& parallel_tier, par::Comm& comm, StagingConfig config,
@@ -22,36 +31,22 @@ Result<std::unique_ptr<Staging>> Staging::open(
   if (config.buffers < 1) {
     return InvalidArgument("staging: buffers must be >= 1");
   }
-  if (config.copy_buffer_bytes == 0) {
-    return InvalidArgument("staging: copy_buffer_bytes must be > 0");
-  }
   if (sion_spec.nfiles < 1) sion_spec.nfiles = 1;
   if (sion_spec.chunk_frames) {
     return InvalidArgument("staging: chunk recovery frames are not supported");
   }
-
-  // Derive the drain-model knobs left at 0 from the parallel tier's machine
-  // description (SimConfig::burst_buffer).
-  double global_bw = 0.0;
-  if (const auto* sim = dynamic_cast<const fs::SimFs*>(&parallel_tier);
-      sim != nullptr) {
-    const fs::SimConfig::BurstBuffer& bb = sim->config().burst_buffer;
-    if (config.tasks_per_node == 0) config.tasks_per_node = bb.tasks_per_node;
-    if (config.drain_bandwidth == 0.0) {
-      config.drain_bandwidth = bb.drain_bandwidth;
-    }
-    if (config.node_capacity == 0) config.node_capacity = bb.node_capacity;
-    global_bw = sim->config().global_bandwidth;
-  }
-  if (config.tasks_per_node <= 0) {
+  if (!config.machine.has_value()) {
     return InvalidArgument(
-        "staging: tasks_per_node not set and not derivable from the parallel "
-        "tier's burst_buffer model");
+        "staging: the parallel tier's machine model is required");
   }
-  if (config.drain_bandwidth <= 0.0) {
+  const fs::SimConfig::BurstBuffer& bb = config.machine->burst_buffer;
+  if (bb.tasks_per_node <= 0) {
     return InvalidArgument(
-        "staging: drain_bandwidth not set and not derivable from the "
-        "parallel tier's burst_buffer model");
+        "staging: the machine's burst_buffer sets no tasks_per_node");
+  }
+  if (bb.drain_bandwidth <= 0.0) {
+    return InvalidArgument(
+        "staging: the machine's burst_buffer sets no drain_bandwidth");
   }
 
   if (buddy.has_value() && ecc.has_value()) {
@@ -100,7 +95,8 @@ Result<std::unique_ptr<Staging>> Staging::open(
   s->pfs_ = &parallel_tier;
   s->fast_ = config.fast_tier;
   s->comm_ = &comm;
-  s->config_ = std::move(config);
+  s->buffers_ = config.buffers;
+  s->bb_ = bb;
   s->sion_spec_ = std::move(sion_spec);
   s->collective_ = collective;
   s->buddy_ = buddy;
@@ -111,29 +107,25 @@ Result<std::unique_ptr<Staging>> Staging::open(
     s->drain_copies_ = 1.0 + static_cast<double>(ecc->parity_domains) /
                                  static_cast<double>(s->sion_spec_.nfiles);
   }
-  s->nnodes_ =
-      (comm.size() + s->config_.tasks_per_node - 1) / s->config_.tasks_per_node;
-  s->global_drain_bandwidth_ = global_bw;
+  s->nnodes_ = (comm.size() + bb.tasks_per_node - 1) / bb.tasks_per_node;
+  s->global_drain_bandwidth_ = config.machine->global_bandwidth;
   s->node_drain_.resize(static_cast<std::size_t>(s->nnodes_));
   s->node_bytes_scratch_.resize(static_cast<std::size_t>(s->nnodes_));
 
   // Ensure the staging directory exists on the fast tier (rank 0 creates it;
   // everyone shares the outcome).
   Status st = Status::Ok();
-  if (comm.rank() == 0 && !s->config_.fast_dir.empty() &&
-      !s->fast_->exists(s->config_.fast_dir)) {
-    st = s->fast_->mkdir(s->config_.fast_dir);
+  if (comm.rank() == 0 && !s->fast_->exists(kStagingDir)) {
+    st = s->fast_->mkdir(kStagingDir);
   }
   SION_RETURN_IF_ERROR(par::share_status(comm, st, 0, "staging open"));
   return s;
 }
 
 std::string Staging::slot_base(std::uint64_t index) const {
-  const std::string name =
-      fs::basename(sion_spec_.filename) + ".slot" +
-      std::to_string(index % static_cast<std::uint64_t>(config_.buffers));
-  if (config_.fast_dir.empty()) return name;
-  return config_.fast_dir + "/" + name;
+  return std::string(kStagingDir) + "/" + fs::basename(sion_spec_.filename) +
+         ".slot" +
+         std::to_string(index % static_cast<std::uint64_t>(buffers_));
 }
 
 Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
@@ -149,9 +141,9 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
   // and materialised before its staged files are overwritten. A failure
   // here (the previous checkpoint was lost on the fast tier) fails this
   // write — the application must recover before checkpointing again.
-  if (index >= static_cast<std::uint64_t>(config_.buffers)) {
+  if (index >= static_cast<std::uint64_t>(buffers_)) {
     SION_RETURN_IF_ERROR(
-        wait(index - static_cast<std::uint64_t>(config_.buffers)));
+        wait(index - static_cast<std::uint64_t>(buffers_)));
   }
 
   // Footprint of this checkpoint per burst-buffer node. Identical on every
@@ -160,28 +152,28 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
   std::vector<std::uint64_t>& node_bytes = node_bytes_scratch_;
   std::fill(node_bytes.begin(), node_bytes.end(), 0);
   for (int r = 0; r < comm_->size(); ++r) {
-    node_bytes[static_cast<std::size_t>(r / config_.tasks_per_node)] +=
+    node_bytes[static_cast<std::size_t>(r / bb_.tasks_per_node)] +=
         sizes[static_cast<std::size_t>(r)];
   }
-  if (config_.node_capacity != 0) {
+  if (bb_.node_capacity != 0) {
     // Staged files stay on the device until their slot is overwritten, so
     // the occupancy to check is the last `buffers` checkpoints, this one
     // included (index - buffers is being replaced right now).
     const std::uint64_t lo =
-        index + 1 >= static_cast<std::uint64_t>(config_.buffers)
-            ? index + 1 - static_cast<std::uint64_t>(config_.buffers)
+        index + 1 >= static_cast<std::uint64_t>(buffers_)
+            ? index + 1 - static_cast<std::uint64_t>(buffers_)
             : 0;
     for (int n = 0; n < nnodes_; ++n) {
       std::uint64_t occupied = node_bytes[static_cast<std::size_t>(n)];
       for (std::uint64_t k = lo; k < index; ++k) {
         occupied += booked_node_bytes_[k][static_cast<std::size_t>(n)];
       }
-      if (occupied > config_.node_capacity) {
+      if (occupied > bb_.node_capacity) {
         return QuotaExceeded(strformat(
             "staging: node %d needs %llu bytes of burst buffer "
             "(capacity %llu)",
             n, static_cast<unsigned long long>(occupied),
-            static_cast<unsigned long long>(config_.node_capacity)));
+            static_cast<unsigned long long>(bb_.node_capacity)));
       }
     }
   }
@@ -206,7 +198,7 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
     total += bytes;
     if (bytes == 0) continue;
     const double duration =
-        static_cast<double>(bytes) * drain_copies_ / config_.drain_bandwidth;
+        static_cast<double>(bytes) * drain_copies_ / bb_.drain_bandwidth;
     finish = std::max(
         finish, node_drain_[static_cast<std::size_t>(n)].schedule(start,
                                                                   duration));
@@ -309,8 +301,8 @@ Status Staging::materialize(std::uint64_t index) {
 
   // The analytic drain model already owns the time (the caller advanced to
   // drain_finish); the byte movement itself must charge nothing.
-  fs::SimFs::ScopedFreeIo free_fast(*fast_);
-  fs::SimFs::ScopedFreeIo free_pfs(*pfs_);
+  fs::UnchargedIo free_fast(*fast_);
+  fs::UnchargedIo free_pfs(*pfs_);
 
   Status mine = Status::Ok();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -325,7 +317,7 @@ Status Staging::materialize(std::uint64_t index) {
   const Status agreed = par::agree_status(*comm_, mine, "staging drain");
   if (!agreed.ok() || !ecc_.has_value()) return agreed;
   // Parity is fabricated on the parallel tier from the files just drained —
-  // still under free-io; the analytic drain charged (1 + m/k)x upfront.
+  // still uncharged; the analytic drain charged (1 + m/k)x upfront.
   return Ecc::encode_parity(*pfs_, *comm_, final_base, *ecc_);
 }
 
@@ -351,7 +343,7 @@ Status Staging::copy_file(const std::string& src_name,
   std::optional<std::uint32_t> filenum;
   if (patch_filenum >= 0) filenum = static_cast<std::uint32_t>(patch_filenum);
   return core::copy_physical_file(*src, header, st.size, *dst,
-                                  config_.copy_buffer_bytes, filenum);
+                                  kCopyBufferBytes, filenum);
 }
 
 }  // namespace sion::ext

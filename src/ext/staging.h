@@ -13,8 +13,8 @@
 // identical jobs — the completion times are deterministic and bit-identical
 // across ranks. The actual byte movement to the parallel tier happens
 // lazily at the next synchronisation point (wait/drain/slot reuse) under
-// fs::SimFs::ScopedFreeIo, so the bytes land without double-charging time
-// the analytic drain already accounted for. A fast-tier fault (kLost,
+// fs::UnchargedIo, so the bytes land without double-charging time the
+// analytic drain already accounted for. A fast-tier fault (kLost,
 // kTruncate) armed before that point makes the materialisation genuinely
 // fail — recovery then falls back to the last fully drained checkpoint.
 //
@@ -42,12 +42,12 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/units.h"
 #include "core/par_file.h"
 #include "ext/buddy.h"
 #include "ext/collective.h"
 #include "ext/ecc.h"
 #include "fs/filesystem.h"
+#include "fs/sim/machine.h"
 #include "par/background.h"
 #include "par/comm.h"
 
@@ -58,20 +58,13 @@ struct StagingConfig {
   // over fs::BurstBufferTierConfig(machine, ntasks).
   fs::FileSystem* fast_tier = nullptr;
 
-  // Directory on the fast tier holding the staged slot files.
-  std::string fast_dir = "bb";
-
   // In-flight staged checkpoints per node (2 = classic double buffering).
   int buffers = 2;
 
-  // Copy granule of the lazy materialisation pass.
-  std::uint64_t copy_buffer_bytes = 4 * kMiB;
-
-  // Drain model knobs; 0 derives each from the parallel tier's
-  // SimConfig::burst_buffer (required for non-Sim parallel tiers).
-  int tasks_per_node = 0;
-  double drain_bandwidth = 0.0;     // bytes/s per node
-  std::uint64_t node_capacity = 0;  // bytes per node; 0 = unlimited
+  // The parallel tier's machine model (required): its burst_buffer sets
+  // the drain model (tasks per node, drain bandwidth per node, capacity per
+  // node) and its global_bandwidth caps the parallel tier's ingest.
+  std::optional<fs::SimConfig> machine;
 };
 
 class Staging {
@@ -135,7 +128,8 @@ class Staging {
   fs::FileSystem* pfs_ = nullptr;
   fs::FileSystem* fast_ = nullptr;
   par::Comm* comm_ = nullptr;
-  StagingConfig config_;
+  int buffers_ = 2;
+  fs::SimConfig::BurstBuffer bb_;  // the drain model
   core::ParOpenSpec sion_spec_;
   std::optional<CollectiveConfig> collective_;
   std::optional<BuddyConfig> buddy_;

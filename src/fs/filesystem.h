@@ -129,6 +129,30 @@ class FileSystem {
   // File-system block size for files under `path` — the value SIONlib aligns
   // chunks to (the paper determines it via fstat()).
   virtual Result<std::uint64_t> block_size(const std::string& path) = 0;
+
+  // Uncharged I/O, for copies whose cost is modelled elsewhere (the
+  // ext::Staging background drain). Between begin and end, operations move
+  // bytes and mutate the namespace as usual but charge no time — on a file
+  // system that charges any. Calls nest; use UnchargedIo rather than
+  // pairing them by hand. No-op by default; a wrapper forwards both.
+  virtual void begin_uncharged_io() {}
+  virtual void end_uncharged_io() {}
+};
+
+// RAII scope of uncharged I/O on one file system. Under the fiber engine
+// every rank of a collective uncharged section holds its own scope, and the
+// ranks enter and leave at different points of the cooperative schedule: a
+// section must end with a collective (barrier, agree, share) before any
+// task resumes charged I/O on the same file system.
+class UnchargedIo {
+ public:
+  explicit UnchargedIo(FileSystem& fs) : fs_(fs) { fs_.begin_uncharged_io(); }
+  ~UnchargedIo() { fs_.end_uncharged_io(); }
+  UnchargedIo(const UnchargedIo&) = delete;
+  UnchargedIo& operator=(const UnchargedIo&) = delete;
+
+ private:
+  FileSystem& fs_;
 };
 
 }  // namespace sion::fs

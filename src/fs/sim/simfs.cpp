@@ -746,20 +746,12 @@ Status SimFs::do_read_timing(Inode& inode, std::uint64_t len,
 }
 
 // ---------------------------------------------------------------------------
-// zero-charge transfers
+// uncharged I/O
 // ---------------------------------------------------------------------------
 
-SimFs::ScopedFreeIo::ScopedFreeIo(FileSystem& fs)
-    : fs_(dynamic_cast<SimFs*>(&fs)) {
-  if (fs_ == nullptr) return;  // posix or other backend: nothing to bypass
-  ++fs_->free_io_;
-}
-
-SimFs::ScopedFreeIo::~ScopedFreeIo() {
-  if (fs_ != nullptr) {
-    SION_CHECK(fs_->free_io_ > 0) << "ScopedFreeIo depth underflow";
-    --fs_->free_io_;
-  }
+void SimFs::end_uncharged_io() {
+  SION_CHECK(free_io_ > 0) << "uncharged-I/O depth underflow";
+  --free_io_;
 }
 
 }  // namespace sion::fs

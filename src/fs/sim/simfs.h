@@ -115,31 +115,14 @@ class SimFs final : public FileSystem {
     return fault_counters_;
   }
 
-  // ---- zero-charge transfers ------------------------------------------------
-  // Scope for cross-tier copies whose virtual-time cost is modelled
-  // elsewhere (the ext::Staging background drain): inside the scope,
-  // operations on the wrapped file system move bytes and mutate the
+  // ---- uncharged I/O --------------------------------------------------------
+  // Inside a fs::UnchargedIo scope, operations move bytes and mutate the
   // namespace exactly as usual — fault rules, quota, and counters included —
   // but charge no virtual time and book no resource capacity (OSTs, links,
   // locks, metadata serialisation points), and leave the per-task warm
   // cache untouched: the copy agent is the machine, not a compute client.
-  // No-op for non-Sim file systems. Scopes nest (a depth counter): under
-  // the fiber engine every rank of a collective zero-charge section holds
-  // its own scope, and the ranks enter and leave at different points of the
-  // cooperative schedule. A section must end with a collective (barrier,
-  // agree, share) before any task resumes *charged* I/O on the same
-  // SimFs, so no task's application I/O runs while another still holds a
-  // scope.
-  class ScopedFreeIo {
-   public:
-    explicit ScopedFreeIo(FileSystem& fs);
-    ~ScopedFreeIo();
-    ScopedFreeIo(const ScopedFreeIo&) = delete;
-    ScopedFreeIo& operator=(const ScopedFreeIo&) = delete;
-
-   private:
-    SimFs* fs_ = nullptr;
-  };
+  void begin_uncharged_io() override { ++free_io_; }
+  void end_uncharged_io() override;
 
  private:
   friend class SimFile;
@@ -248,7 +231,7 @@ class SimFs final : public FileSystem {
   void advance(double t);
   [[nodiscard]] int caller_rank() const;  // -1 when serial
 
-  // Fixed-latency service cost, zero inside a ScopedFreeIo scope.
+  // Fixed-latency service cost, zero inside an uncharged-I/O scope.
   [[nodiscard]] double service(double t) const { return free_io_ ? 0.0 : t; }
 
   // Charge a namespace operation (create/open/stat) against the right
@@ -303,7 +286,7 @@ class SimFs final : public FileSystem {
   double serial_clock_ = 0.0;
   Counters counters_;
 
-  int free_io_ = 0;  // ScopedFreeIo depth (one scope per fiber inside)
+  int free_io_ = 0;  // uncharged-I/O depth (one scope per fiber inside)
   bool faults_armed_ = false;
   FaultPlan fault_plan_;
   Rng fault_rng_;

@@ -101,14 +101,6 @@ class Comm {
   std::vector<std::uint64_t> allgather_u64(std::uint64_t value);
   std::uint64_t allreduce_u64(std::uint64_t value, ReduceOp op);
 
-  struct GatheredBytes {
-    std::vector<std::byte> data;              // concatenated in rank order
-    std::vector<std::uint64_t> sizes;         // contribution per rank
-  };
-  // Root receives all contributions, others an empty result.
-  GatheredBytes gatherv_bytes(std::span<const std::byte> contribution,
-                              int root);
-
   // Root supplies one flat buffer sliced by `sizes` (size() entries, rank
   // order); each task receives its own piece.
   std::vector<std::byte> scatterv_bytes_flat(std::span<const std::byte> data,

@@ -10,7 +10,6 @@
 #include "common/strings.h"
 #include "core/api.h"
 #include "fs/path.h"
-#include "fs/sim/simfs.h"
 #include "par/engine.h"
 
 namespace sion::workloads {
@@ -308,7 +307,7 @@ Status CheckpointSession::update_manifest() {
   Status st = Status::Ok();
   if (comm_->rank() == 0) {
     // Drain-agent bookkeeping, not application I/O: charges nothing.
-    fs::SimFs::ScopedFreeIo free_io(*fs_);
+    fs::UnchargedIo uncharged(*fs_);
     Result<std::unique_ptr<fs::File>> file =
         fs_->create(spec_.path + ".manifest");
     if (!file.ok()) {

@@ -407,6 +407,29 @@ TEST_P(BuddyFaultTest, InvalidConfigurationsAreRejected) {
   });
 }
 
+TEST_P(BuddyFaultTest, OneTaskWithNonPowerOfTwoBlockSizeFailsEveryTask) {
+  par::Engine engine;
+  engine.run(4, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "oddblk.ckpt";
+    spec.fsblksize = world.rank() == 1 ? 48 : 64;
+    spec.chunksize = 1024;
+    BuddyConfig config;
+    config.replicas = 2;
+    config.num_domains = 2;
+    if (GetParam()) {
+      config.collective = true;
+      config.collective_config.group_size = 2;
+    }
+    const Status st = Buddy::write(fs_, world, spec, config,
+                                   DataView::fill(std::byte{1}, 512));
+    ASSERT_FALSE(st.ok()) << "rank " << world.rank();
+    if (world.rank() == 1) {
+      EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Heal report plumbing
 // ---------------------------------------------------------------------------

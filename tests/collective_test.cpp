@@ -381,6 +381,24 @@ TEST(CollectiveTest, RejectsChunkFramesAndZeroChunksize) {
   });
 }
 
+TEST(CollectiveTest, OneTaskWithNonPowerOfTwoBlockSizeFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(4, [&](par::Comm& world) {
+    CollectiveConfig cfg;
+    cfg.group_size = 2;
+    core::ParOpenSpec spec;
+    spec.filename = "oddblk.sion";
+    spec.fsblksize = world.rank() == 1 ? 48 : 64;
+    spec.chunksize = 1024;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_FALSE(coll.ok()) << "rank " << world.rank();
+    if (world.rank() == 1) {
+      EXPECT_EQ(coll.status().code(), ErrorCode::kInvalidArgument);
+    }
+  });
+}
+
 TEST(CollectiveTest, OpenReadRejectsChunkFramedFile) {
   fs::SimFs fs(fs::TestbedConfig());
   par::Engine engine;

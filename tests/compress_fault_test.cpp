@@ -416,6 +416,7 @@ TEST(CompressFaultTest, StagedCompressedSessionRestoresLatest) {
   spec.path = "staged.ckpt";
   StagingConfig staging;
   staging.fast_tier = &bb;
+  staging.machine = machine;
   spec.staging = staging;
   spec.compression = CompressionSpec{};
 

@@ -611,6 +611,24 @@ TEST(ParFileTest, OneTaskWithZeroChunksizeFailsEveryTask) {
   });
 }
 
+TEST(ParFileTest, OneTaskWithNonPowerOfTwoBlockSizeFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  for (const int odd_rank : {0, 1}) {  // the file-local master, then not
+    engine.run(4, [&](par::Comm& world) {
+      ParOpenSpec spec;
+      spec.filename = "oddblk.sion";
+      spec.fsblksize = world.rank() == odd_rank ? 48 : 64;
+      spec.chunksize = 4096;
+      auto sion = SionParFile::open_write(fs, world, spec);
+      ASSERT_FALSE(sion.ok()) << "rank " << world.rank();
+      if (world.rank() == odd_rank) {
+        EXPECT_EQ(sion.status().code(), ErrorCode::kInvalidArgument);
+      }
+    });
+  }
+}
+
 // The 64-byte chunk recovery frame is an on-disk format that sionrepair
 // reads back, so its bytes are pinned: task 1's frame of block 1 after the
 // task wrote 70000 bytes into 64 KiB chunks (4528 bytes land in block 1).

@@ -658,6 +658,7 @@ TEST_P(EccFaultTest, DrainFabricatedParitySurvivesPrimaryLoss) {
   auto spec = ecc_spec("sq.sion", k, /*m=*/2);
   StagingConfig staging;
   staging.fast_tier = &bb;
+  staging.machine = machine;
   spec.staging = staging;
   const auto payload_of = [&](int rank) {
     std::vector<std::byte> data(bytes);

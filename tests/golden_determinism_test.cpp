@@ -243,6 +243,7 @@ TEST(GoldenDeterminismTest, StagedCheckpointLoopTestbed) {
     spec.path = "golden_staged.sion";
     ext::StagingConfig staging;
     staging.fast_tier = &bb;
+    staging.machine = machine;
     spec.staging = staging;
     t_staged = checkpoint_loop(pfs, spec);
   }

@@ -112,7 +112,8 @@ class CliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0)
         for rule in ("wall-clock", "raw-random", "env-access",
                      "unordered-iteration", "stdout-logging", "naked-new",
-                     "catch-all", "legacy-checkpoint-call"):
+                     "catch-all", "legacy-checkpoint-call",
+                     "simfs-downcast"):
             self.assertIn(rule, proc.stdout)
 
     def test_missing_path_is_a_usage_error(self):

@@ -351,24 +351,6 @@ TEST(AllreduceTest, SumMaxMin) {
   });
 }
 
-TEST(GathervBytesTest, ConcatenatesInRankOrder) {
-  Engine engine;
-  engine.run(3, [&](Comm& world) {
-    std::vector<std::byte> mine(static_cast<std::size_t>(world.rank() + 1),
-                                static_cast<std::byte>('a' + world.rank()));
-    auto gathered = world.gatherv_bytes(mine, 1);
-    if (world.rank() == 1) {
-      ASSERT_EQ(gathered.sizes, (std::vector<std::uint64_t>{1, 2, 3}));
-      ASSERT_EQ(gathered.data.size(), 6u);
-      EXPECT_EQ(std::to_integer<char>(gathered.data[0]), 'a');
-      EXPECT_EQ(std::to_integer<char>(gathered.data[1]), 'b');
-      EXPECT_EQ(std::to_integer<char>(gathered.data[3]), 'c');
-    } else {
-      EXPECT_TRUE(gathered.data.empty());
-    }
-  });
-}
-
 TEST(ScattervBytesTest, PiecesReachTheirRanks) {
   Engine engine;
   engine.run(3, [&](Comm& world) {

@@ -9,7 +9,8 @@
 // mid-drain fails the wait on every rank and restore_latest falls back to
 // the last durable checkpoint, (5) buddy replicas fabricated at drain time
 // are real, heal-able files, (6) the burst-buffer capacity check rejects
-// over-committed nodes, and (7) staged runs are bit-deterministic.
+// over-committed nodes, (7) staged runs are bit-deterministic, and (8) a
+// pass-through wrapper around the parallel tier changes no virtual time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -67,11 +68,14 @@ fs::SimConfig staged_machine() {
   return machine;
 }
 
-CheckpointSpec staged_spec(const std::string& path, fs::FileSystem& fast) {
+CheckpointSpec staged_spec(const std::string& path,
+                           const fs::SimConfig& machine,
+                           fs::FileSystem& fast) {
   CheckpointSpec spec;
   spec.path = path;
   ext::StagingConfig staging;
   staging.fast_tier = &fast;
+  staging.machine = machine;
   spec.staging = staging;
   return spec;
 }
@@ -145,7 +149,7 @@ TEST(StagingSessionTest, StagedRoundtripAndRestoreLatest) {
   fs::SimConfig machine = staged_machine();
   fs::SimFs pfs(machine);
   fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
-  const CheckpointSpec spec = staged_spec("rt.sion", bb);
+  const CheckpointSpec spec = staged_spec("rt.sion", machine, bb);
   par::Engine engine;
   engine.run(n, [&](par::Comm& world) {
     auto session = CheckpointSession::open(pfs, world, spec);
@@ -218,7 +222,7 @@ TEST(StagingSessionTest, WriteAsyncOverlapsDrainWithCompute) {
     fs::SimConfig machine = staged_machine();
     fs::SimFs pfs(machine);
     fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
-    const CheckpointSpec spec = staged_spec("async.sion", bb);
+    const CheckpointSpec spec = staged_spec("async.sion", machine, bb);
     par::Engine engine;
     engine.run(n, [&](par::Comm& world) {
       const auto mine = payload_of(world.rank(), 0, bytes);
@@ -256,6 +260,7 @@ TEST(StagingTest, SlotReuseWaitsForEviction) {
   engine.run(n, [&](par::Comm& world) {
     ext::StagingConfig config;
     config.fast_tier = &bb;
+    config.machine = machine;
     core::ParOpenSpec sion;
     sion.filename = "db.sion";
     auto staging = ext::Staging::open(pfs, world, config, sion, std::nullopt,
@@ -295,7 +300,7 @@ TEST(StagingTest, NodeCapacityOverflowIsRejected) {
   machine.burst_buffer.node_capacity = 6 * kMiB;
   fs::SimFs pfs(machine);
   fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
-  const CheckpointSpec spec = staged_spec("cap.sion", bb);
+  const CheckpointSpec spec = staged_spec("cap.sion", machine, bb);
   par::Engine engine;
   engine.run(n, [&](par::Comm& world) {
     auto session = CheckpointSession::open(pfs, world, spec);
@@ -324,7 +329,7 @@ void run_mid_drain_fault(const FaultPlan& plan) {
   fs::SimConfig machine = staged_machine();
   fs::SimFs pfs(machine);
   fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
-  const CheckpointSpec spec = staged_spec("ft.sion", bb);
+  const CheckpointSpec spec = staged_spec("ft.sion", machine, bb);
   par::Engine engine;
   engine.run(n, [&](par::Comm& world) {
     auto session = CheckpointSession::open(pfs, world, spec);
@@ -389,7 +394,7 @@ TEST(StagingFaultTest, DrainFabricatedReplicasSurvivePrimaryLoss) {
   fs::SimConfig machine = staged_machine();
   fs::SimFs pfs(machine);
   fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
-  CheckpointSpec spec = staged_spec("bq.sion", bb);
+  CheckpointSpec spec = staged_spec("bq.sion", machine, bb);
   ext::BuddyConfig buddy;
   buddy.replicas = 2;
   buddy.num_domains = domains;
@@ -431,7 +436,7 @@ TEST(StagingSessionTest, StagedRunsAreVirtualTimeDeterministic) {
     fs::SimConfig machine = staged_machine();
     fs::SimFs pfs(machine);
     fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
-    const CheckpointSpec spec = staged_spec("det.sion", bb);
+    const CheckpointSpec spec = staged_spec("det.sion", machine, bb);
     par::Engine engine;
     *out_makespan = makespan(engine, n, [&](par::Comm& world) {
       auto session = CheckpointSession::open(pfs, world, spec);
@@ -457,6 +462,100 @@ TEST(StagingSessionTest, StagedRunsAreVirtualTimeDeterministic) {
   EXPECT_EQ(makespan_a, makespan_b);
   ASSERT_EQ(vtimes_a.size(), 8u);
   EXPECT_EQ(vtimes_a, vtimes_b);
+}
+
+// --- the file-system seam --------------------------------------------------
+
+// Forwards every call to `inner`, uncharged I/O included, and counts the
+// uncharged scopes it forwarded.
+class PassThroughFs final : public fs::FileSystem {
+ public:
+  explicit PassThroughFs(fs::FileSystem& inner) : inner_(inner) {}
+
+  Result<std::unique_ptr<fs::File>> create(const std::string& path) override {
+    return inner_.create(path);
+  }
+  Result<std::unique_ptr<fs::File>> open_read(
+      const std::string& path) override {
+    return inner_.open_read(path);
+  }
+  Result<std::unique_ptr<fs::File>> open_rw(const std::string& path) override {
+    return inner_.open_rw(path);
+  }
+  Status mkdir(const std::string& path) override { return inner_.mkdir(path); }
+  Status remove(const std::string& path) override {
+    return inner_.remove(path);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& path) override {
+    return inner_.list_dir(path);
+  }
+  Result<fs::FileStat> stat_path(const std::string& path) override {
+    return inner_.stat_path(path);
+  }
+  bool exists(const std::string& path) override { return inner_.exists(path); }
+  Result<std::uint64_t> block_size(const std::string& path) override {
+    return inner_.block_size(path);
+  }
+  void begin_uncharged_io() override {
+    ++uncharged_scopes_;
+    inner_.begin_uncharged_io();
+  }
+  void end_uncharged_io() override { inner_.end_uncharged_io(); }
+
+  [[nodiscard]] int uncharged_scopes() const { return uncharged_scopes_; }
+
+ private:
+  fs::FileSystem& inner_;
+  int uncharged_scopes_ = 0;
+};
+
+// Staging reaches the parallel tier only through fs::FileSystem: behind a
+// pass-through wrapper, a staged checkpoint loop (drains plus the manifest,
+// both uncharged) runs to the same virtual times, bit for bit.
+TEST(StagingSessionTest, PassThroughParallelTierKeepsVirtualTime) {
+  const int n = 8;
+  const std::uint64_t bytes = 256 * kKiB;
+  struct Run {
+    std::vector<double> vtimes;
+    double epoch = 0.0;
+    int uncharged_scopes = 0;
+  };
+  auto run_once = [&](bool wrapped) {
+    Run out;
+    fs::SimConfig machine = staged_machine();
+    fs::SimFs sim(machine);
+    PassThroughFs wrapper(sim);
+    fs::FileSystem& pfs = wrapped ? static_cast<fs::FileSystem&>(wrapper)
+                                  : static_cast<fs::FileSystem&>(sim);
+    fs::SimFs bb(fs::BurstBufferTierConfig(machine, n));
+    const CheckpointSpec spec = staged_spec("seam.sion", machine, bb);
+    par::Engine engine;
+    engine.run(n, [&](par::Comm& world) {
+      auto session = CheckpointSession::open(pfs, world, spec);
+      ASSERT_TRUE(session.ok()) << session.status().to_string();
+      for (std::uint64_t k = 0; k < 3; ++k) {
+        const auto mine = payload_of(world.rank(), k, bytes);
+        ASSERT_TRUE(session.value()->write_async(DataView(mine)).ok());
+        par::this_task()->compute(2.0e-3);
+      }
+      ASSERT_TRUE(session.value()->close().ok());
+      if (world.rank() == 0) {
+        for (const auto& rec : session.value()->history()) {
+          out.vtimes.push_back(rec.snapshot_vtime);
+          out.vtimes.push_back(rec.complete_vtime);
+        }
+      }
+    });
+    out.epoch = engine.epoch();
+    out.uncharged_scopes = wrapper.uncharged_scopes();
+    return out;
+  };
+  const Run plain = run_once(false);
+  const Run wrapped = run_once(true);
+  ASSERT_EQ(plain.vtimes.size(), 6u);
+  EXPECT_EQ(wrapped.vtimes, plain.vtimes);
+  EXPECT_EQ(wrapped.epoch, plain.epoch);
+  EXPECT_GT(wrapped.uncharged_scopes, 0);
 }
 
 }  // namespace

@@ -30,6 +30,10 @@ Rules (see --list-rules for the machine-readable table):
                        library internals (src/ext, src/workloads) -- the
                        free functions are compatibility wrappers; internals
                        go through workloads::CheckpointSession
+  simfs-downcast       no dynamic_cast to SimFs and no #include of
+                       fs/sim/simfs.h in src/ outside src/fs/sim/ -- the
+                       library reaches the simulator only through
+                       fs::FileSystem (machine models come in as data)
 
 Suppression: append `// sion-lint: allow(<rule>[, <rule>...])` to the
 offending line, or place the comment alone on the line directly above it.
@@ -69,6 +73,7 @@ class FileView:
     def __init__(self, path, relpath, text):
         self.path = path
         self.relpath = relpath
+        self.lines = text.splitlines()
         self.code = []
         self.comments = []
         self._lex(text)
@@ -399,6 +404,32 @@ def check_legacy_checkpoint_call(view):
         scope=legacy_checkpoint_scope)
 
 
+# --- rule: simfs-downcast ---------------------------------------------------
+
+SIMFS_CAST_RE = re.compile(r"\bdynamic_cast\s*<[^>]*\bSimFs\b")
+INCLUDE_RE = re.compile(r"^\s*#\s*include\s*\"")
+SIMFS_INCLUDE_RE = re.compile(r"\"fs/sim/simfs\.h\"")
+
+
+def simfs_downcast_scope(relpath):
+    return relpath.startswith("src/") and \
+        not relpath.startswith("src/fs/sim/")
+
+
+def check_simfs_downcast(view):
+    if not simfs_downcast_scope(view.relpath):
+        return
+    for i, code in enumerate(view.code, start=1):
+        # The include path is a string literal, blanked in `code`: match the
+        # raw line, but only where the code view shows a live #include.
+        if SIMFS_CAST_RE.search(code) or (
+                INCLUDE_RE.match(code) and
+                SIMFS_INCLUDE_RE.search(view.lines[i - 1])):
+            yield (i, "library code reaches past fs::FileSystem into SimFs; "
+                      "add a FileSystem capability or pass the machine "
+                      "model (fs::SimConfig) in as data")
+
+
 RULES = [
     ("wall-clock", check_wall_clock,
      "no host clocks in " + ", ".join(SIM_DIRS)),
@@ -417,6 +448,9 @@ RULES = [
     ("legacy-checkpoint-call", check_legacy_checkpoint_call,
      "no write_checkpoint/read_checkpoint calls in src/ext, src/workloads "
      "internals (use workloads::CheckpointSession)"),
+    ("simfs-downcast", check_simfs_downcast,
+     "no dynamic_cast to SimFs / #include \"fs/sim/simfs.h\" in src/ "
+     "outside src/fs/sim/"),
 ]
 
 
