@@ -438,6 +438,96 @@ TEST(GoldenDeterminismTest, BuddyProtectedCheckpointTestbed) {
   EXPECT_GOLDEN(0x1.04b966350a9f8p-5, t_restore[1]);
 }
 
+// --- Unequal file groups: per-file release times of open and close ---------
+
+// 100 tasks over 3 physical files, so the per-file communicators differ in
+// size and each file's collectives release at its own virtual time. Those
+// times reach the result through the file-system operations that follow
+// them (the non-masters' opens, the metablock writes). Beside the
+// makespans, the rank-order sums of the times at which open_write and
+// open_read returned pin every task's return from the open.
+struct UnequalGroupsTimes {
+  double write = 0.0;
+  double read = 0.0;
+  double write_opened = 0.0;  // sum over ranks of open_write's return time
+  double read_opened = 0.0;   // sum over ranks of open_read's return time
+};
+
+UnequalGroupsTimes run_unequal_groups(core::Mapping mapping,
+                                      const std::vector<int>& custom,
+                                      const std::string& name) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine(par::EngineConfig{.stack_bytes = 64 * 1024,
+                                       .network = fs::TestbedConfig().network});
+  const int n = 100;
+  const auto payload_bytes = [](int rank) {
+    return 6 * kKiB + 613 * static_cast<std::uint64_t>(rank);
+  };
+  std::vector<double> opened(static_cast<std::size_t>(n), 0.0);
+  const auto sum_opened = [&opened] {
+    double sum = 0.0;
+    for (const double t : opened) sum += t;
+    return sum;
+  };
+  UnequalGroupsTimes out;
+  out.write = makespan(engine, n, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = name;
+    spec.chunksize = 4 * kKiB + 517 * static_cast<std::uint64_t>(world.rank());
+    spec.nfiles = 3;
+    spec.mapping = mapping;
+    spec.custom_file_of_rank = custom;
+    auto sion = core::SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+    opened[static_cast<std::size_t>(world.rank())] = par::this_task()->now();
+    const auto payload =
+        pattern_payload(world.rank(), payload_bytes(world.rank()));
+    ASSERT_TRUE(sion.value()->write(fs::DataView(payload)).ok());
+    ASSERT_TRUE(sion.value()->close().ok());
+  });
+  out.write_opened = sum_opened();
+  fs.drop_caches();
+  out.read = makespan(engine, n, [&](par::Comm& world) {
+    auto sion = core::SionParFile::open_read(fs, world, name);
+    ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+    opened[static_cast<std::size_t>(world.rank())] = par::this_task()->now();
+    std::vector<std::byte> got(payload_bytes(world.rank()));
+    auto n_read = sion.value()->read(got);
+    ASSERT_TRUE(n_read.ok()) << n_read.status().to_string();
+    EXPECT_EQ(got, pattern_payload(world.rank(), got.size()));
+    ASSERT_TRUE(sion.value()->close().ok());
+  });
+  out.read_opened = sum_opened();
+  return out;
+}
+
+TEST(GoldenDeterminismTest, UnequalFileGroupsTestbed) {
+  const UnequalGroupsTimes contiguous =
+      run_unequal_groups(core::Mapping::kContiguous, {}, "groups_contig.sion");
+  EXPECT_GOLDEN(0x1.3190eff283cfp-7, contiguous.write);
+  EXPECT_GOLDEN(0x1.41234faa261bcp-7, contiguous.read);
+  EXPECT_GOLDEN(0x1.eafb05c53bdb5p-2, contiguous.write_opened);
+  EXPECT_GOLDEN(0x1.7e2978f534483p+0, contiguous.read_opened);
+
+  const UnequalGroupsTimes round_robin =
+      run_unequal_groups(core::Mapping::kRoundRobin, {}, "groups_rr.sion");
+  EXPECT_GOLDEN(0x1.52626fd9233d8p-7, round_robin.write);
+  EXPECT_GOLDEN(0x1.61f628e181aap-7, round_robin.read);
+  EXPECT_GOLDEN(0x1.eafb05c53bdb5p-2, round_robin.write_opened);
+  EXPECT_GOLDEN(0x1.97cd7ece672a5p+0, round_robin.read_opened);
+
+  // File 1 holds the single rank 57; the others alternate between 0 and 2.
+  std::vector<int> custom(100);
+  for (int r = 0; r < 100; ++r) custom[static_cast<std::size_t>(r)] =
+      r == 57 ? 1 : (r % 2 == 0 ? 0 : 2);
+  const UnequalGroupsTimes single =
+      run_unequal_groups(core::Mapping::kCustom, custom, "groups_custom.sion");
+  EXPECT_GOLDEN(0x1.282d287eba9f4p-7, single.write);
+  EXPECT_GOLDEN(0x1.39a66d5137098p-7, single.read);
+  EXPECT_GOLDEN(0x1.e1c3641858646p-2, single.write_opened);
+  EXPECT_GOLDEN(0x1.760ad5461811p+0, single.read_opened);
+}
+
 // --- Pure-engine scheduler stress: uneven compute + collectives ------------
 
 // Splits, p2p, and uneven compute skew on a task count with no clean tree
