@@ -8,6 +8,7 @@
 //      size (why MP2C's original scheme cannot be rescued by tuning).
 //  (3) Chunk-size sensitivity: the block-alignment rule rounds requests up;
 //      what do misaligned chunk requests waste in time and space?
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -117,7 +118,11 @@ void ablation_chunk_request(double scale, Table& table) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   print_header("Ablations: design-choice studies beyond the paper's tables",
                "frame overhead / staging size / chunk alignment");

@@ -5,6 +5,7 @@
 // group size, domains lost, and degraded-bandwidth severity — the
 // operating envelope of ext::Buddy (write overhead is bounded by ~r x, and
 // restores stay possible, merely slower, through r-1 domain losses).
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -96,7 +97,11 @@ int scaled_tasks(int n, double scale, int domains) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const fs::SimConfig machine = scaled_machine(fs::JugeneConfig(), scale);
 

@@ -6,6 +6,7 @@
 // ranks with packed chunks avoid. Aggregation must *win* for small chunks
 // and *lose* once per-member payloads saturate the collector's own
 // injection link — both ends of the tradeoff are swept here.
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -68,7 +69,11 @@ Point run_point(const fs::SimConfig& machine, int ntasks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const fs::SimConfig machine = machine_config(scale);
 

@@ -9,6 +9,7 @@
 // better than 1.5x, and compressed write throughput must stay within 20%
 // of the uncompressed run — compression that slows the write path down
 // defeats its purpose on a bandwidth-bound machine.
+#include <cstdio>
 #include <cstring>
 
 #include "bench_util.h"
@@ -62,7 +63,11 @@ Point run_point(bool compressed, int ntasks, std::uint64_t nevents) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const int ntasks = std::max(4, checked_trunc<int>(256 * scale));
   const auto nevents = static_cast<std::uint64_t>(

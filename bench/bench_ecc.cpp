@@ -6,6 +6,7 @@
 // loss tolerance: both survive two lost domains, but parity pays ~m/k
 // extra bytes where replication pays (r-1)x. The overhead claims are
 // SION_CHECK-gated against fs.allocated_bytes(), not printed on trust.
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -167,7 +168,11 @@ int scaled_tasks(int n, double scale, int align) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const fs::SimConfig machine = scaled_machine(fs::JugeneConfig(), scale);
 

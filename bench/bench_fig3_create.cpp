@@ -5,6 +5,7 @@
 // Paper endpoints: 64 Ki creates ~6 min and 64 Ki opens ~1 min on Jugene;
 // 12 Ki creates ~5 min and ~20 s opens on Jaguar; SION create <3 s (Jugene)
 // and <10 s (Jaguar).
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -65,7 +66,11 @@ void run_machine(const char* label, Table& table,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   // --scale=0.25 runs a quarter of each task count and extrapolates
   // linearly (the metadata model is linear in task count); 1.0 reproduces
   // the full configurations.

@@ -7,6 +7,7 @@
 //     (4 OSTs, 1 MiB) vs optimized striping (64 OSTs, 8 MiB): default rises
 //     steadily to ~32 files; optimized is good from 2 files on and always
 //     superior.
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -71,7 +72,11 @@ Point run_point(const fs::SimConfig& machine, int ntasks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
 
   print_header("Figure 4: bandwidth vs number of physical files",

@@ -6,6 +6,7 @@
 // (b) Jaguar, 128..12k tasks, 2 TB: SION writes mostly ahead; reads climb
 //     beyond the 40 GB/s file-system maximum at large task counts because
 //     clients re-read freshly written data from their caches.
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -116,7 +117,11 @@ void run_machine(const char* label, Table& table,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
 
   print_header("Figure 5: SIONlib vs task-local file bandwidth",

@@ -9,6 +9,7 @@
 // at least one 2 MiB file-system block per task, so its advantage
 // materialises for larger problem sizes (>= ~33 M particles), where it
 // reaches 1-2 orders of magnitude.
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -60,7 +61,11 @@ Point run_point(IoStrategy strategy, int ntasks, std::uint64_t particles) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "ntasks", "max-mio", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   // --scale shrinks the task count and problem sizes together, preserving
   // the per-task payload.
   const double scale = opts.get_double("scale", 1.0);

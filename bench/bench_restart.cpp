@@ -4,6 +4,7 @@
 // network — becomes a measurable axis next to the plain same-scale restore.
 // The paper's global-view metadata (sections 3.2.3/3.3) is what makes the
 // N logical streams addressable from any M; this benchmark prices it.
+#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -70,7 +71,11 @@ int scaled(int n, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const fs::SimConfig machine = scaled_machine(fs::JugeneConfig(), scale);
 

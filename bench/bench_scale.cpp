@@ -13,6 +13,7 @@
 //   --stack-bytes=B per-fiber stack; 0 (default) picks 48KiB up to 64Ki
 //                   tasks and a compact 16KiB above, so a 1Mi-task point
 //                   keeps its resident set bounded by touched stack pages
+#include <cstdio>
 #include <algorithm>
 #include <vector>
 
@@ -68,7 +69,11 @@ PointResult run_point(const fs::SimConfig& machine, int ntasks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "nfiles", "max-tasks", "min-tasks", "stack-bytes", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const int nfiles = checked_narrow<int>(opts.get_u64("nfiles", 32));
   const std::uint64_t max_tasks = opts.get_u64("max-tasks", 65536);

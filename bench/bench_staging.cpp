@@ -19,6 +19,7 @@
 // at its Young/Daly-optimal interval the staged run must beat the
 // synchronous baseline's effective utilization — otherwise the background
 // drain is not actually buying compute/drain overlap.
+#include <cstdio>
 #include <cmath>
 #include <deque>
 #include <memory>
@@ -255,7 +256,11 @@ int scaled_tasks(int n, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "mtbf", "work", "seed", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const double mtbf_s = opts.get_double("mtbf", 3600.0);
   const double work_s = opts.get_double("work", 6.0 * 3600.0);

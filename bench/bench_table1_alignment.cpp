@@ -66,7 +66,11 @@ Point run_point(int ntasks, std::uint64_t total_bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale", "json"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const double scale = opts.get_double("scale", 1.0);
   const int ntasks = std::max(16, checked_trunc<int>(32768 * scale));
   const std::uint64_t total = static_cast<std::uint64_t>(

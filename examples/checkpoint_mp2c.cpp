@@ -92,7 +92,11 @@ std::vector<std::byte> expected_slice(std::uint64_t particles, int nwriters,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"ntasks", "restart-ntasks", "particles", "strategy", "collective", "group-size", "buddy", "replicas", "domains", "staging", "kill-domains", "tasks-per-node", "drain-bw"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const int ntasks = static_cast<int>(opts.get_u64("ntasks", 64));
   const int restart_ntasks =
       static_cast<int>(opts.get_u64("restart-ntasks", 0));

@@ -28,7 +28,11 @@
 using namespace sion;  // NOLINT(google-build-using-namespace)
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"ntasks"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const int ntasks = static_cast<int>(opts.get_u64("ntasks", 16));
 
   fs::SimFs fs(fs::TestbedConfig());

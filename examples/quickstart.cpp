@@ -23,7 +23,11 @@
 using namespace sion;  // NOLINT(google-build-using-namespace)
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"ntasks", "nfiles", "dir"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const int ntasks = static_cast<int>(opts.get_u64("ntasks", 8));
   const int nfiles = static_cast<int>(opts.get_u64("nfiles", 2));
   const std::string dir =

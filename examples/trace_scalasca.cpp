@@ -19,7 +19,11 @@ using namespace sion;             // NOLINT(google-build-using-namespace)
 using namespace sion::workloads;  // NOLINT(google-build-using-namespace)
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"ntasks", "events", "compress", "backend"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   const int ntasks = static_cast<int>(opts.get_u64("ntasks", 32));
   const std::uint64_t events = opts.get_u64("events", 50000);
   const bool compress = opts.get_bool("compress");

@@ -1,5 +1,6 @@
 #include "common/options.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -7,7 +8,9 @@
 
 namespace sion {
 
-Options::Options(int argc, const char* const* argv) {
+Options::Options(int argc, const char* const* argv,
+                 std::vector<std::string> known)
+    : known_(std::move(known)) {
   if (argc > 0) program_ = argv[0];
   bool flags_done = false;
   for (int i = 1; i < argc; ++i) {
@@ -24,14 +27,31 @@ Options::Options(int argc, const char* const* argv) {
     }
     const std::string body = arg.substr(2);
     const std::size_t eq = body.find('=');
+    const std::string name = body.substr(0, eq);
+    if (unknown_.empty() && name != "help" &&
+        std::find(known_.begin(), known_.end(), name) == known_.end()) {
+      unknown_ = name;
+    }
     if (eq != std::string::npos) {
-      flags_[body.substr(0, eq)] = body.substr(eq + 1);
+      flags_[name] = body.substr(eq + 1);
     } else {
       // Bare --flag is boolean true. Values always use --name=value; a
       // space-separated form would be ambiguous against positionals.
-      flags_[body] = "true";
+      flags_[name] = "true";
     }
   }
+}
+
+std::optional<Options::Stop> Options::stop() const {
+  if (!unknown_.empty()) {
+    return Stop{2, program_ + ": unknown flag --" + unknown_ +
+                       " (try --help)\n"};
+  }
+  if (!has("help")) return std::nullopt;
+  std::string text = "usage: " + program_ + " [flags] [arguments]\nflags:\n";
+  for (const std::string& name : known_) text += "  --" + name + "\n";
+  text += "  --help\n";
+  return Stop{0, std::move(text)};
 }
 
 bool Options::has(const std::string& name) const {

@@ -18,25 +18,32 @@ namespace sion::core {
 
 namespace {
 
+using Step = par::Comm::Step;
+
 // Every task except the master (which created or parsed the file) opens
-// its own handle when it asked for one; a failure anywhere fails all. The
-// agreement runs the collectives of par::share_status_global, but a task's
-// own failed open joins the global vote as well.
-Status open_handles(fs::FileSystem& fs, par::Comm& lcom, par::Comm& gcom,
-                    const std::string& path, bool wanted, bool writable,
-                    std::unique_ptr<fs::File>& file, const char* what) {
+// its own handle when it asked for one, then the file's tasks vote: a
+// failure anywhere, the master's or a task's own failed open, fails all.
+// With `closing_barrier` the open's closing barrier over `gcom` joins the
+// vote's rendezvous.
+Status open_handles(fs::FileSystem& fs, par::Comm& gcom,
+                    const FilePlacement& place, bool wanted, bool writable,
+                    bool closing_barrier, std::unique_ptr<fs::File>& file,
+                    const char* what) {
   Status st;
-  if (wanted && lcom.rank() != 0) {
-    auto opened = writable ? fs.open_rw(path) : fs.open_read(path);
+  if (wanted && place.lcom->rank() != 0) {
+    auto opened =
+        writable ? fs.open_rw(place.path) : fs.open_read(place.path);
     if (opened.ok()) {
       file = std::move(opened).value();
     } else {
       st = opened.status();
     }
   }
-  Status shared = par::share_status(lcom, st, 0, what);
-  if (shared.ok()) shared = st;
-  return par::agree_status(gcom, shared, what);
+  static constexpr Step kSteps[] = {Step::kVote, Step::kSync};
+  par::Comm::Exchange x;
+  return gcom.exchange(*place.lcom, place.filenum, place.nfiles,
+                       std::span(kSteps).first(closing_barrier ? 2 : 1), x,
+                       st, what);
 }
 
 // Pads the last chunk of every `group` consecutive tasks so that the group
@@ -158,9 +165,10 @@ Result<FilePlacement> place_in_multifile(fs::FileSystem& fs, par::Comm& gcom,
   const int gsize = gcom.size();
   // The global master learns the rank -> file map from the headers and
   // *scatters* it: each task learns only its own file index, keeping the
-  // collective O(ntasks) total instead of O(ntasks) per task.
+  // collective O(ntasks) total instead of O(ntasks) per task. Its status,
+  // the file count and the map travel in one exchange.
   Status st;
-  std::uint64_t nfiles = 0;
+  std::uint64_t words[2] = {0, 0};  // nfiles, this task's file
   std::vector<std::uint64_t> file_of_rank;  // master only
   if (gcom.rank() == 0) {
     st = [&]() __attribute__((noinline)) -> Status {
@@ -193,41 +201,47 @@ Result<FilePlacement> place_in_multifile(fs::FileSystem& fs, par::Comm& gcom,
             "multifile holds %llu logical files but %d tasks opened it",
             static_cast<unsigned long long>(total_tasks), gsize));
       }
-      nfiles = static_cast<std::uint64_t>(n);
+      words[0] = static_cast<std::uint64_t>(n);
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, what));
-
-  const auto n = static_cast<int>(gcom.bcast_u64(nfiles, 0));
-  const auto filenum = static_cast<int>(gcom.scatter_u64(file_of_rank, 0));
-  return place_on_file(gcom, name, filenum, n);
+  static constexpr Step kSteps[] = {Step::kVote, Step::kBcast,
+                                    Step::kScatter};
+  par::Comm::Exchange x;
+  x.words = words;
+  x.scatter = file_of_rank;
+  SION_RETURN_IF_ERROR(gcom.exchange(gcom, 0, 1, kSteps, x, st, what));
+  return place_on_file(gcom, name, static_cast<int>(words[1]),
+                       static_cast<int>(words[0]));
 }
 
 // ---------------------------------------------------------------------------
 // open
 // ---------------------------------------------------------------------------
 
-Result<std::uint64_t> agree_block_size(fs::FileSystem& fs, par::Comm& lcom,
-                                       par::Comm* gcom,
+namespace {
+
+// The master's fstat(): the block size of the directory holding `path`.
+__attribute__((noinline)) Status detect_block_size(fs::FileSystem& fs,
+                                                   const std::string& path,
+                                                   std::uint64_t& out) {
+  SION_ASSIGN_OR_RETURN(out, fs.block_size(fs::parent(path)));
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::uint64_t> agree_block_size(fs::FileSystem& fs, par::Comm& comm,
                                        const std::string& path,
                                        std::uint64_t fsblksize,
                                        const char* what) {
-  if (fsblksize == 0) {
-    Status st;
-    if (lcom.rank() == 0) {
-      auto detected = fs.block_size(fs::parent(path));
-      if (detected.ok()) {
-        fsblksize = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(
-        gcom != nullptr ? par::share_status_global(lcom, *gcom, st, 0, what)
-                        : par::share_status(lcom, st, 0, what));
-    fsblksize = lcom.bcast_u64(fsblksize, 0);
-  }
+  if (fsblksize != 0) return fsblksize;
+  Status st;
+  if (comm.rank() == 0) st = detect_block_size(fs, path, fsblksize);
+  static constexpr Step kSteps[] = {Step::kVote, Step::kBcast};
+  par::Comm::Exchange x;
+  x.words = std::span(&fsblksize, 1);
+  SION_RETURN_IF_ERROR(comm.exchange(comm, 0, 1, kSteps, x, st, what));
   return fsblksize;
 }
 
@@ -236,84 +250,124 @@ Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
                                        const CreateSpec& spec) {
   par::Comm& lcom = *place.lcom;
   const int lsize = lcom.size();
-  std::vector<std::uint64_t> chunksizes = lcom.gather_u64(spec.chunksize, 0);
-  std::vector<std::uint64_t> granks;
-  if (!spec.first_global_rank) {
-    granks = lcom.gather_u64(static_cast<std::uint64_t>(gcom.rank()), 0);
-  }
+  const bool master = lcom.rank() == 0;
 
+  // One exchange: the block size (detected by the master unless given),
+  // then every task's chunk size and, unless they are consecutive, its
+  // global rank, gathered to the master.
+  Status st;
+  std::uint64_t words[4] = {spec.fsblksize, spec.chunksize,
+                            static_cast<std::uint64_t>(gcom.rank()), 0};
+  if (spec.fsblksize == 0 && master) {
+    st = detect_block_size(fs, place.path, words[0]);
+  }
+  // The steps, and their words, without the block size when it is given
+  // and without the global ranks when they are consecutive.
+  static constexpr Step kGatherSteps[] = {Step::kVote, Step::kBcast,
+                                          Step::kGather, Step::kGather};
+  const bool detect = spec.fsblksize == 0;
+  const std::size_t from = detect ? 0 : 2;
+  const std::size_t to = spec.first_global_rank ? 3 : 4;
+  // Master: the chunk sizes and global ranks, then the words to scatter.
+  std::vector<std::uint64_t> gathered;
+  par::Comm::Exchange x;
+  x.words = std::span(words).subspan(detect ? 0 : 1, to - (detect ? 1 : 2));
+  x.gathered = &gathered;
+  SION_RETURN_IF_ERROR(gcom.exchange(
+      lcom, place.filenum, place.nfiles,
+      std::span(kGatherSteps).subspan(from, to - from), x, st, spec.what));
+  const std::uint64_t block = words[0];
+
+  // Chunks pack at `spec.granule` only when it is a power of two dividing
+  // the block; then group padding keeps collectors off each other's blocks.
   ChunkView view;
-  view.fsblksize = spec.fsblksize;
+  view.fsblksize = spec.granule != 0 && spec.granule < block &&
+                           is_power_of_two(spec.granule) &&
+                           block % spec.granule == 0
+                       ? spec.granule
+                       : block;
   view.flags = spec.flags;
-  std::vector<std::uint64_t> chunk_offsets;
-  Status st = spec.task_status;
-  if (st.ok() && (!is_power_of_two(spec.fsblksize) ||
-                  (spec.pad_block != 0 && !is_power_of_two(spec.pad_block)))) {
+  const std::uint64_t pad_block =
+      spec.pad_group != 0 && view.fsblksize < block ? block : 0;
+  st = spec.task_status;
+  if (st.ok() && (spec.flags & kFlagChunkFrames) != 0 && view.fsblksize != 0 &&
+      round_up(spec.chunksize, view.fsblksize) <= kChunkFrameSize) {
+    st = InvalidArgument("chunk too small for recovery frame");
+  }
+  if (st.ok() && (!is_power_of_two(view.fsblksize) ||
+                  (pad_block != 0 && !is_power_of_two(pad_block)))) {
     st = InvalidArgument("file-system block size must be a power of two");
   }
-  if (lcom.rank() == 0 && st.ok()) {
+  if (master && st.ok()) {
     st = [&]() __attribute__((noinline)) -> Status {
       FileHeader header;
       header.flags = spec.flags;
-      header.fsblksize = spec.fsblksize;
+      header.fsblksize = view.fsblksize;
       header.ntasks = static_cast<std::uint32_t>(lsize);
       header.nfiles = static_cast<std::uint32_t>(place.nfiles);
       header.filenum = static_cast<std::uint32_t>(place.filenum);
+      const auto n = static_cast<std::size_t>(lsize);
+      const auto half = gathered.begin() + static_cast<std::ptrdiff_t>(n);
+      header.chunksizes_req.assign(gathered.begin(), half);
       if (spec.first_global_rank) {
-        granks.resize(static_cast<std::size_t>(lsize));
-        std::iota(granks.begin(), granks.end(), *spec.first_global_rank);
+        header.global_ranks.resize(n);
+        std::iota(header.global_ranks.begin(), header.global_ranks.end(),
+                  *spec.first_global_rank);
+      } else {
+        header.global_ranks.assign(half, gathered.end());
       }
-      header.global_ranks = std::move(granks);
-      header.chunksizes_req = chunksizes;
-      if (spec.pad_block != 0) {
+      if (pad_block != 0) {
         // The serialized size depends only on the task count, so the
         // unpadded header already has the final metablock-1 size.
-        pad_group_ends(chunksizes, spec.fsblksize,
-                       round_up(header.serialize().size(), spec.fsblksize),
-                       spec.pad_block, spec.pad_group);
-        header.chunksizes_req = chunksizes;
+        pad_group_ends(header.chunksizes_req, view.fsblksize,
+                       round_up(header.serialize().size(), view.fsblksize),
+                       pad_block, spec.pad_group);
       }
       SION_ASSIGN_OR_RETURN(CreatedFile created,
                             create_with_metablock1(fs, place.path, header));
       view.file = std::move(created.file);
       view.data_start = created.layout.data_start();
       view.block_span = created.layout.block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(lsize));
+      // The gathered words make room for the scatter: offsets, then the
+      // (padded) requested sizes.
+      gathered.resize(2 * n);
       for (int t = 0; t < lsize; ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
+        gathered[static_cast<std::size_t>(t)] =
             created.layout.chunk_offset_in_block(t);
       }
+      std::copy(header.chunksizes_req.begin(), header.chunksizes_req.end(),
+                gathered.begin() + static_cast<std::ptrdiff_t>(n));
       return Status::Ok();
     }();
   }
-  // The collectives of par::share_status_global, with a task's own failure
-  // joining the global vote (as in open_handles).
-  Status shared = par::share_status(lcom, st, 0, spec.what);
-  if (shared.ok()) shared = st;
-  SION_RETURN_IF_ERROR(par::agree_status(gcom, shared, spec.what));
 
-  // Everyone learns where its chunks live; no further communication is
-  // needed for any later chunk (paper 3.1). The geometry broadcasts fuse
-  // into one suspension (bit-identical virtual cost, see bcast_u64_seq).
-  std::uint64_t geom[2] = {view.data_start, view.block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  view.data_start = geom[0];
-  view.block_span = geom[1];
-  std::uint64_t offset = 0;
-  view.chunksize = spec.chunksize;
-  if (spec.scatter_chunksizes) {
-    std::tie(offset, view.chunksize) =
-        lcom.scatter2_u64(chunk_offsets, chunksizes, 0);
-  } else {
-    offset = lcom.scatter_u64(chunk_offsets, 0);
-  }
-  view.chunk_start0 = view.data_start + offset;
+  // One exchange: the create's vote, then everyone learns where its chunks
+  // live; no further communication is needed for any later chunk (paper
+  // 3.1).
+  static constexpr Step kLayoutSteps[] = {Step::kVote, Step::kBcast,
+                                          Step::kBcast, Step::kScatter,
+                                          Step::kScatter};
+  words[0] = view.data_start;
+  words[1] = view.block_span;
+  words[2] = 0;
+  words[3] = spec.chunksize;
+  x = par::Comm::Exchange{};
+  x.words = std::span(words).first(spec.scatter_chunksizes ? 4 : 3);
+  x.scatter = gathered;
+  SION_RETURN_IF_ERROR(gcom.exchange(
+      lcom, place.filenum, place.nfiles,
+      std::span(kLayoutSteps).first(spec.scatter_chunksizes ? 5 : 4), x, st,
+      spec.what));
+  view.data_start = words[0];
+  view.block_span = words[1];
+  view.chunk_start0 = view.data_start + words[2];
+  view.chunksize = words[3];
   view.chunk_bytes.assign(1, 0);
 
   // Non-masters open the (hot) physical file: the cheap path that makes
   // SIONlib creation orders of magnitude faster than task-local files.
-  SION_RETURN_IF_ERROR(open_handles(fs, lcom, gcom, place.path,
-                                    spec.open_handle, /*writable=*/true,
+  SION_RETURN_IF_ERROR(open_handles(fs, gcom, place, spec.open_handle,
+                                    /*writable=*/true, spec.closing_barrier,
                                     view.file, spec.what));
   return view;
 }
@@ -325,8 +379,7 @@ Result<ChunkView> open_physical_file(fs::FileSystem& fs, par::Comm& gcom,
   // The master parses both metablocks and scatters each task's view:
   // geometry plus the bytes-actually-written array per chunk.
   ChunkView view;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> requested;
+  std::vector<std::uint64_t> to_scatter;  // offsets, then requested sizes
   std::vector<std::byte> blobs_flat;
   std::vector<std::uint64_t> blob_sizes;
   Status st;
@@ -352,14 +405,15 @@ Result<ChunkView> open_physical_file(fs::FileSystem& fs, par::Comm& gcom,
       view.flags = header.flags;
       view.data_start = layout.data_start();
       view.block_span = layout.block_span();
-      chunk_offsets.resize(header.ntasks);
-      requested = header.chunksizes_req;
+      to_scatter.resize(2 * std::size_t{header.ntasks});
+      std::copy(header.chunksizes_req.begin(), header.chunksizes_req.end(),
+                to_scatter.begin() + header.ntasks);
       blob_sizes.resize(header.ntasks);
       // One flat buffer for every task's bytes-written array, sliced by the
       // scatter below — not one heap blob per task.
       ByteWriter w;
       for (std::uint32_t t = 0; t < header.ntasks; ++t) {
-        chunk_offsets[t] = layout.chunk_offset_in_block(static_cast<int>(t));
+        to_scatter[t] = layout.chunk_offset_in_block(static_cast<int>(t));
         const std::size_t at = w.size();
         w.put_u64_array(meta2.bytes_written[t]);
         blob_sizes[t] = w.size() - at;
@@ -369,30 +423,45 @@ Result<ChunkView> open_physical_file(fs::FileSystem& fs, par::Comm& gcom,
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, spec.what));
 
-  // The flags travel only to readers that allow any.
-  std::array<std::uint64_t, 4> geom = {view.fsblksize, view.data_start,
-                                       view.block_span, view.flags};
-  lcom.bcast_u64_seq(
-      std::span<std::uint64_t>(geom).first(spec.allowed_flags != 0 ? 4 : 3),
-      0);
-  view.fsblksize = geom[0];
-  view.data_start = geom[1];
-  view.block_span = geom[2];
-  view.flags = static_cast<std::uint8_t>(geom[3]);
-  const auto [offset, chunksize] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
-  const std::vector<std::byte> blob =
-      lcom.scatterv_bytes_flat(blobs_flat, blob_sizes, 0);
-  ByteReader reader(blob);
+  // One exchange: the vote, the geometry (the flags travel only to readers
+  // that allow any), each task's offset and requested size, and its
+  // bytes-written array.
+  const bool flags = spec.allowed_flags != 0;
+  static constexpr Step kWithFlags[] = {
+      Step::kVote,    Step::kBcast,   Step::kBcast,   Step::kBcast,
+      Step::kBcast,   Step::kScatter, Step::kScatter, Step::kScatterv};
+  static constexpr Step kNoFlags[] = {Step::kVote,    Step::kBcast,
+                                      Step::kBcast,   Step::kBcast,
+                                      Step::kScatter, Step::kScatter,
+                                      Step::kScatterv};
+  // Without flags, words[3] receives the offset and words[4] the size.
+  std::uint64_t words[6] = {view.fsblksize, view.data_start, view.block_span,
+                            flags ? view.flags : 0u, 0, 0};
+  par::Comm::Exchange x;
+  x.words = std::span(words).first(flags ? 6 : 5);
+  x.scatter = to_scatter;
+  x.pieces = blobs_flat;
+  x.piece_sizes = blob_sizes;
+  SION_RETURN_IF_ERROR(gcom.exchange(
+      lcom, place.filenum, place.nfiles,
+      flags ? std::span<const Step>(kWithFlags) : std::span<const Step>(kNoFlags),
+      x, st, spec.what));
+  view.fsblksize = words[0];
+  view.data_start = words[1];
+  view.block_span = words[2];
+  view.flags = flags ? static_cast<std::uint8_t>(words[3]) : 0;
+  const std::uint64_t offset = flags ? words[4] : words[3];
+  view.chunksize = flags ? words[5] : words[4];
+  // The piece is a view into the master's buffer, which outlives the next
+  // exchange (open_handles); parse it before that.
+  ByteReader reader(x.piece);
   SION_ASSIGN_OR_RETURN(view.chunk_bytes, reader.get_u64_array());
   if (view.chunk_bytes.empty()) view.chunk_bytes.assign(1, 0);
   view.chunk_start0 = view.data_start + offset;
-  view.chunksize = chunksize;
 
-  SION_RETURN_IF_ERROR(open_handles(fs, lcom, gcom, place.path,
-                                    spec.open_handle, /*writable=*/false,
+  SION_RETURN_IF_ERROR(open_handles(fs, gcom, place, spec.open_handle,
+                                    /*writable=*/false, spec.closing_barrier,
                                     view.file, spec.what));
   return view;
 }
@@ -416,6 +485,14 @@ Status write_chunk_usage(par::Comm& lcom, fs::File* file,
                                                             piece.end());
   }
   return write_meta2_and_trailer(*file, data_start, block_span, meta2);
+}
+
+Status agree_over_files(par::Comm& gcom, const FilePlacement& place,
+                        const Status& mine, const char* what) {
+  static constexpr Step kSteps[] = {Step::kVote};
+  par::Comm::Exchange x;
+  return gcom.exchange(*place.lcom, place.filenum, place.nfiles, kSteps, x,
+                       mine, what);
 }
 
 }  // namespace sion::core

@@ -13,9 +13,10 @@
 //                     writes metablock 2 plus the metablock-1 trailer.
 //
 // The callers differ only in data (which ranks need a file handle, the
-// master-side padding of chunk sizes, whether requested sizes travel back,
+// chunk granule and group padding, whether requested sizes travel back,
 // which header flags a reader accepts), and each keeps its own order of
-// collectives around these steps.
+// collectives around these steps. Every run of collectives between two
+// file-system operations is one par::Comm::exchange rendezvous.
 //
 // Discovery of a set on disk and the "both metablocks parse" probe live
 // here as well, for the serial readers and the recovery paths.
@@ -96,20 +97,19 @@ FilePlacement place_on_file(par::Comm& gcom, const std::string& name,
 
 // Rank 0 of `gcom` reads every header of multifile `name`, checks that the
 // set was written by exactly gcom.size() tasks, and scatters the
-// rank -> file map; then every task is placed on its file.
+// rank -> file map (one exchange with its status and the file count); then
+// every task is placed on its file.
 Result<FilePlacement> place_in_multifile(fs::FileSystem& fs, par::Comm& gcom,
                                          const std::string& name,
                                          const char* what);
 
 // The file-system block size: `fsblksize` itself when nonzero; otherwise
-// rank 0 of `lcom` detects it for the directory of `path` (the paper's
-// fstat()), the outcome is shared over `lcom` and, when `gcom` is given,
-// agreed over it, and the value is broadcast over `lcom`. The result is
-// not checked here: create_physical_file rejects a block size that is not a
-// power of two inside its agreement, so every task fails, not just the one
-// that passed it.
-Result<std::uint64_t> agree_block_size(fs::FileSystem& fs, par::Comm& lcom,
-                                       par::Comm* gcom,
+// rank 0 of `comm` detects it for the directory of `path` (the paper's
+// fstat()) and shares the outcome and the value over `comm` in one
+// exchange. The result is not checked here: create_physical_file rejects a
+// block size that is not a power of two inside its agreement, so every task
+// fails, not just the one that passed it.
+Result<std::uint64_t> agree_block_size(fs::FileSystem& fs, par::Comm& comm,
                                        const std::string& path,
                                        std::uint64_t fsblksize,
                                        const char* what);
@@ -133,30 +133,41 @@ struct ChunkView {
 
 struct CreateSpec {
   std::uint8_t flags = 0;
-  std::uint64_t fsblksize = 0;  // the chunk granule
+  // The file-system block size; 0 = the file's master detects it (the
+  // paper's fstat()) and shares it with the file's tasks.
+  std::uint64_t fsblksize = 0;
+  // Chunks pack at this finer granule when it is a power of two dividing
+  // the block size; otherwise (and when 0) at the block size itself.
+  std::uint64_t granule = 0;
+  // When nonzero and chunks pack finer than the block, the master pads the
+  // last chunk of every `pad_group` consecutive tasks so that each group
+  // ends on a block boundary.
+  int pad_group = 0;
   std::uint64_t chunksize = 0;  // this task's requested chunk size
   // The file's tasks carry consecutive global ranks from this one when set;
   // otherwise every task's `gcom` rank is gathered.
   std::optional<std::uint64_t> first_global_rank;
-  // When nonzero, the master pads the last chunk of every `pad_group`
-  // consecutive tasks so that each group ends on a multiple of `pad_block`.
-  std::uint64_t pad_block = 0;
-  int pad_group = 0;
   // Scatter every task's (possibly padded) requested size back to it;
   // otherwise ChunkView::chunksize is this task's own `chunksize`.
   bool scatter_chunksizes = false;
   bool open_handle = true;  // the master always holds one
+  // The caller's closing barrier over `gcom` joins the last agreement's
+  // rendezvous (same virtual time as a barrier right after the create).
+  bool closing_barrier = false;
   const char* what = "";    // message for failures on other tasks
-  // This task's own failure from before the create (e.g. a chunk too small
-  // for its recovery frame). It joins the create's agreement, so every
-  // task fails instead of the others deadlocking in the collectives; the
-  // master skips the create when its own check failed. A `fsblksize` or
-  // `pad_block` that is not a power of two fails the same way.
+  // This task's own failure from before the create (e.g. a zero chunk
+  // size). It joins the create's agreement, so every task fails instead of
+  // the others deadlocking in the collectives; the master skips the create
+  // when its own check failed. A chunk too small for its recovery frame
+  // (with kFlagChunkFrames), or a granule or padding block that is not a
+  // power of two, fails the same way.
   Status task_status;
 };
 
 // Collective create of the physical file `place` names, over its
-// communicator; failures are agreed over `gcom` as well.
+// communicator; failures are agreed over `gcom` as well. Each task suspends
+// three times: block size plus gathers, the create's vote plus the layout,
+// and the non-masters' open vote.
 Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
                                        const FilePlacement& place,
                                        const CreateSpec& spec);
@@ -166,12 +177,14 @@ struct OpenReadSpec {
   // other flag set. When none are allowed, the flags are not broadcast.
   std::uint8_t allowed_flags = 0;
   bool open_handle = true;  // the master always holds one
+  bool closing_barrier = false;  // as in CreateSpec
   const char* what = "";
 };
 
 // Collective read open of the physical file `place` names: its master
 // parses both metablocks and scatters every task's view; failures are
-// agreed over `gcom` as well.
+// agreed over `gcom` as well. Each task suspends twice: the master's vote
+// plus the view, and the non-masters' open vote.
 Result<ChunkView> open_physical_file(fs::FileSystem& fs, par::Comm& gcom,
                                      const FilePlacement& place,
                                      const OpenReadSpec& spec);
@@ -183,6 +196,11 @@ Result<ChunkView> open_physical_file(fs::FileSystem& fs, par::Comm& gcom,
 Status write_chunk_usage(par::Comm& lcom, fs::File* file,
                          std::uint64_t data_start, std::uint64_t block_span,
                          std::span<const std::uint64_t> chunk_bytes);
+
+// The close vote: rank 0 of each file shares `mine` over the file's
+// communicator and `gcom` agrees, in one rendezvous (par::Comm::exchange).
+Status agree_over_files(par::Comm& gcom, const FilePlacement& place,
+                        const Status& mine, const char* what);
 
 // The entire remaining logical stream of a parallel reader (SionParFile or
 // ext::Collective) as one buffer: the raw-byte foundation of compressed

@@ -10,9 +10,9 @@ namespace sion::core {
 
 namespace {
 
-// Shared wording for the par::share_status* agreement helpers: a failure on
-// the file-local master or on another physical file must surface on every
-// task (see par/comm.h).
+// Shared wording for the open and close agreements: a failure on the
+// file-local master or on another physical file must surface on every task
+// (see par::Comm::exchange).
 constexpr char kOpenFailed[] =
     "collective SION open/close failed on the file-local master or on "
     "another physical file";
@@ -43,32 +43,29 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
                     spec.custom_file_of_rank));
   FilePlacement place = place_on_file(gcom, spec.filename,
                                       map.file_of(gcom.rank()), map.nfiles());
-  SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
-                        agree_block_size(fs, *place.lcom, &gcom, place.path,
-                                         spec.fsblksize, kOpenFailed));
   CreateSpec create;
   create.flags = spec.chunk_frames ? kFlagChunkFrames : 0;
-  create.fsblksize = fsblksize;
+  create.fsblksize = spec.fsblksize;
   create.chunksize = spec.chunksize;
   create.what = kOpenFailed;
-  // Checks of this task's own spec: the other tasks are already inside the
+  // Without frames the open's closing agreement is a barrier, which joins
+  // the create's last rendezvous.
+  create.closing_barrier = !spec.chunk_frames;
+  // A check of this task's own spec: the other tasks are already inside the
   // collective open, so a failure here must join its agreement rather than
   // return early.
   if (spec.chunksize == 0) {
     create.task_status = InvalidArgument("chunksize must be positive");
-  } else if (spec.chunk_frames && fsblksize != 0 &&
-             round_up(spec.chunksize, fsblksize) <= kChunkFrameSize) {
-    create.task_status = InvalidArgument("chunk too small for recovery frame");
   }
   SION_ASSIGN_OR_RETURN(ChunkView view,
                         create_physical_file(fs, gcom, place, create));
   auto out = std::unique_ptr<SionParFile>(
       new SionParFile(gcom, std::move(place), std::move(view), true));
+  if (!out->frames_) return out;
 
-  Status st;
-  if (out->frames_) st = out->write_frame(0);
   // The agreement doubles as the closing barrier: a failed first-frame
   // write (e.g. quota exceeded) on any task must fail the open everywhere.
+  const Status st = out->write_frame(0);
   const std::uint64_t frame_failed =
       gcom.allreduce_u64(st.ok() ? 0 : 1, par::ReduceOp::kMax);
   if (frame_failed != 0) {
@@ -88,13 +85,12 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
                         place_in_multifile(fs, gcom, name, kOpenFailed));
   OpenReadSpec open;
   open.allowed_flags = kFlagChunkFrames;
+  open.closing_barrier = true;
   open.what = kOpenFailed;
   SION_ASSIGN_OR_RETURN(ChunkView view,
                         open_physical_file(fs, gcom, place, open));
-  auto out = std::unique_ptr<SionParFile>(
+  return std::unique_ptr<SionParFile>(
       new SionParFile(gcom, std::move(place), std::move(view), false));
-  gcom.barrier();
-  return out;
 }
 
 SionParFile::~SionParFile() {
@@ -262,8 +258,7 @@ Status SionParFile::close() {
     const Status st =
         write_chunk_usage(lcom, view_.file.get(), view_.data_start,
                           view_.block_span, view_.chunk_bytes);
-    SION_RETURN_IF_ERROR(
-        par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed));
+    SION_RETURN_IF_ERROR(agree_over_files(*gcom_, place_, st, kOpenFailed));
   }
   view_.file.reset();
   closed_ = true;

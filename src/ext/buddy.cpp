@@ -203,9 +203,8 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
   // geometry alone, so the block size is pinned up front (the primary's
   // writers would otherwise detect it file by file).
   SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
-                        core::agree_block_size(fs, gcom, nullptr,
-                                               spec.filename, spec.fsblksize,
-                                               kBuddyFailed));
+                        core::agree_block_size(fs, gcom, spec.filename,
+                                               spec.fsblksize, kBuddyFailed));
 
   // Primary: the ordinary multifile, one physical file per failure domain
   // (contiguous equal blocks == the domain mapping when D divides gsize).

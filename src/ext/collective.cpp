@@ -50,9 +50,9 @@ Result<WaveHeader> decode_header(std::span<const std::byte> bytes) {
   return h;
 }
 
-// Shared wording for the par::share_status*/agree_status agreement helpers
-// (see par/comm.h): a failure on the collector, on another physical file, or
-// on another group rank must surface on every task.
+// Shared wording for the agreements (see par/comm.h): a failure on the
+// collector, on another physical file, or on another group rank must
+// surface on every task.
 constexpr char kAggregationFailed[] =
     "collective aggregation failed on another rank";
 
@@ -152,7 +152,6 @@ class WriteAggregator {
 Result<std::unique_ptr<Collective>> Collective::open_write(
     fs::FileSystem& fs, par::Comm& gcom, const core::ParOpenSpec& spec,
     const CollectiveConfig& config) {
-  if (spec.chunksize == 0) return InvalidArgument("chunksize must be positive");
   if (spec.chunk_frames) {
     return InvalidArgument(
         "recovery chunk frames are not supported in collective mode");
@@ -167,41 +166,31 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
       core::place_on_file(gcom, spec.filename, map.file_of(gcom.rank()),
                           map.nfiles()),
       /*writable=*/true, config));
-  par::Comm& lcom = *out->place_.lcom;
 
-  // Group padding is computed against the real file-system block even
-  // when chunks pack at a finer granule.
-  SION_ASSIGN_OR_RETURN(const std::uint64_t real_blk,
-                        core::agree_block_size(fs, lcom, &gcom,
-                                               out->place_.path,
-                                               spec.fsblksize,
-                                               kAggregationFailed));
-  std::uint64_t granule = real_blk;
-  if (config.alignment != CollectiveConfig::Alignment::kFsBlock) {
-    granule = std::min(
-        config.packing_granule != 0 ? config.packing_granule : real_blk,
-        real_blk);
-    if (!is_power_of_two(granule) || real_blk % granule != 0) {
-      granule = real_blk;
-    }
-  }
-
-  // The layout is the ordinary SION geometry with fsblksize = granule, so
-  // any reader reconstructs it from the header alone. Only collectors
-  // open the physical file: this is where the aggregated path sheds the
-  // per-task metadata/open pressure (SimFs accounts for it through cached
-  // opens and the client_open_service token model).
+  // The layout is the ordinary SION geometry with fsblksize = the chunk
+  // granule, so any reader reconstructs it from the header alone. Group
+  // padding is computed against the real file-system block even when
+  // chunks pack at a finer granule. Only collectors open the physical
+  // file: this is where the aggregated path sheds the per-task
+  // metadata/open pressure (SimFs accounts for it through cached opens and
+  // the client_open_service token model).
   core::CreateSpec create;
-  create.fsblksize = granule;
-  create.chunksize = spec.chunksize;
-  if (config.alignment == CollectiveConfig::Alignment::kPacked &&
-      granule < real_blk) {
-    create.pad_block = real_blk;
+  create.fsblksize = spec.fsblksize;
+  if (config.alignment != CollectiveConfig::Alignment::kFsBlock) {
+    create.granule = config.packing_granule;
+  }
+  if (config.alignment == CollectiveConfig::Alignment::kPacked) {
     create.pad_group = out->group_->size();
   }
+  create.chunksize = spec.chunksize;
   create.scatter_chunksizes = true;
   create.open_handle = out->is_collector();
   create.what = kAggregationFailed;
+  // A zero chunk size on some tasks only must fail every task, so it joins
+  // the create's agreement instead of returning early.
+  if (spec.chunksize == 0) {
+    create.task_status = InvalidArgument("chunksize must be positive");
+  }
   SION_ASSIGN_OR_RETURN(
       core::ChunkView view,
       core::create_physical_file(fs, gcom, out->place_, create));
@@ -568,7 +557,7 @@ Status Collective::close() {
         core::write_chunk_usage(lcom, view_.file.get(), view_.data_start,
                                 view_.block_span, view_.chunk_bytes);
     SION_RETURN_IF_ERROR(
-        par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed));
+        core::agree_over_files(*gcom_, place_, st, kAggregationFailed));
   }
   view_.file.reset();
   closed_ = true;

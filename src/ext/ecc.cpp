@@ -472,9 +472,8 @@ Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
   // geometry alone, so the block size is pinned up front (the primary's
   // writers would otherwise detect it file by file).
   SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
-                        core::agree_block_size(fs, gcom, nullptr,
-                                               spec.filename, spec.fsblksize,
-                                               kEccFailed));
+                        core::agree_block_size(fs, gcom, spec.filename,
+                                               spec.fsblksize, kEccFailed));
 
   core::ParOpenSpec pspec = spec;
   pspec.nfiles = k;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "common/log.h"
@@ -17,11 +18,13 @@ std::unique_ptr<Comm> Comm::create(Engine& engine,
 Comm::Comm(Engine& engine, std::vector<TaskState*> members, NetworkModel net)
     : engine_(&engine), members_(std::move(members)), net_(net) {
   granks_.reserve(members_.size());
-  identity_ranks_ = true;
+  contiguous_ranks_ = true;
   ascending_ranks_ = true;
   for (std::size_t i = 0; i < members_.size(); ++i) {
     const int g = members_[i]->rank();
-    if (g != static_cast<int>(i)) identity_ranks_ = false;
+    if (!granks_.empty() && g != granks_.front() + static_cast<int>(i)) {
+      contiguous_ranks_ = false;
+    }
     if (!granks_.empty() && g <= granks_.back()) ascending_ranks_ = false;
     granks_.push_back(g);
   }
@@ -36,10 +39,11 @@ TaskState& Comm::calling_task() const {
 
 int Comm::rank() const {
   const int grank = calling_task().rank();
-  if (identity_ranks_) {
-    SION_CHECK(grank >= 0 && grank < size())
+  if (contiguous_ranks_) {
+    const int r = grank - granks_.front();
+    SION_CHECK(r >= 0 && r < size())
         << "calling task is not a member of this communicator";
-    return grank;
+    return r;
   }
   if (ascending_ranks_) {
     const auto it = std::lower_bound(granks_.begin(), granks_.end(), grank);
@@ -53,17 +57,15 @@ int Comm::rank() const {
   return static_cast<int>(it - granks_.begin());
 }
 
-template <typename F>
-void Comm::rendezvous(void* slot, F&& finalize) {
+bool Comm::arrive(void* slot, int my_rank) {
   TaskState& task = calling_task();
-  const int my_rank = rank();
   const std::uint64_t opidx = next_op_[static_cast<std::size_t>(my_rank)]++;
 
   if (size() == 1) {
     site_slots_.assign(1, slot);
-    const double release = finalize(site_slots_, task.now());
-    task.advance_to(release);
-    return;
+    site_tmax_ = task.now();
+    engine_->count_rendezvous(1);
+    return true;
   }
 
   if (site_arrived_ == 0) {
@@ -87,14 +89,16 @@ void Comm::rendezvous(void* slot, F&& finalize) {
     engine_->block_current();
     // Woken by the last arrival; our slot already holds the results and our
     // clock was advanced by the release.
-    return;
+    return false;
   }
-
   // Retire the site before waking anyone so a released task entering the
   // next collective starts a fresh operation.
-  const double tmax = site_tmax_;
   site_arrived_ = 0;
-  const double release = finalize(site_slots_, tmax);
+  engine_->count_rendezvous(members_.size());
+  return true;
+}
+
+void Comm::release_all(int my_rank, double release) {
   if (ascending_ranks_) {
     engine_->wake_members(members_, static_cast<std::size_t>(my_rank),
                           release);
@@ -103,7 +107,14 @@ void Comm::rendezvous(void* slot, F&& finalize) {
       if (static_cast<int>(i) != my_rank) engine_->wake(*members_[i], release);
     }
   }
-  task.advance_to(release);
+  calling_task().advance_to(release);
+}
+
+template <typename F>
+void Comm::rendezvous(void* slot, F&& finalize) {
+  const int my_rank = rank();
+  if (!arrive(slot, my_rank)) return;
+  release_all(my_rank, finalize(site_slots_, site_tmax_));
 }
 
 void Comm::barrier() {
@@ -139,36 +150,6 @@ std::uint64_t Comm::bcast_u64(std::uint64_t value, int root) {
   std::uint64_t v = value;
   bcast_bytes(std::as_writable_bytes(std::span<std::uint64_t>(&v, 1)), root);
   return v;
-}
-
-void Comm::bcast_u64_seq(std::span<std::uint64_t> values, int root) {
-  SION_CHECK(root >= 0 && root < size()) << "bcast root out of range";
-  if (values.empty()) return;
-  struct Slot {
-    std::span<std::uint64_t> values;
-  };
-  Slot slot{values};
-  const int nranks = size();
-  const std::size_t count = values.size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, count, net](std::vector<void*>& slots,
-                                               double tmax) {
-    auto& src = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    SION_CHECK(src.values.size() == count) << "bcast_u64_seq count mismatch";
-    for (int i = 0; i < nranks; ++i) {
-      if (i == root) continue;
-      auto& dst = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      SION_CHECK(dst.values.size() == count) << "bcast_u64_seq count mismatch";
-      std::copy(src.values.begin(), src.values.end(), dst.values.begin());
-    }
-    // Each value is charged as its own 8-byte broadcast, summed in call
-    // order — bit-identical to `count` back-to-back bcast_u64 calls.
-    double release = tmax;
-    for (std::size_t k = 0; k < count; ++k) {
-      release = release + net.bcast_cost(nranks, sizeof(std::uint64_t));
-    }
-    return release;
-  });
 }
 
 std::vector<std::uint64_t> Comm::gather_u64(std::uint64_t value, int root) {
@@ -256,38 +237,6 @@ std::uint64_t Comm::scatter_u64(std::span<const std::uint64_t> values,
                                   8ULL * static_cast<std::uint64_t>(nranks));
   });
   return slot.out;
-}
-
-std::pair<std::uint64_t, std::uint64_t> Comm::scatter2_u64(
-    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    int root) {
-  SION_CHECK(root >= 0 && root < size()) << "scatter root out of range";
-  struct Slot {
-    std::span<const std::uint64_t> a;  // root only
-    std::span<const std::uint64_t> b;  // root only
-    std::uint64_t out_a = 0;
-    std::uint64_t out_b = 0;
-  };
-  Slot slot{a, b, 0, 0};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    SION_CHECK(root_slot.a.size() == static_cast<std::size_t>(nranks) &&
-               root_slot.b.size() == static_cast<std::size_t>(nranks))
-        << "scatter2_u64 root must supply size() values per array";
-    for (int i = 0; i < nranks; ++i) {
-      auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      s.out_a = root_slot.a[static_cast<std::size_t>(i)];
-      s.out_b = root_slot.b[static_cast<std::size_t>(i)];
-    }
-    // Two scatters charged in sequence — bit-identical to two calls.
-    const double cost =
-        net.rooted_cost(nranks, 8ULL * static_cast<std::uint64_t>(nranks));
-    return (tmax + cost) + cost;
-  });
-  return {slot.out_a, slot.out_b};
 }
 
 std::vector<std::uint64_t> Comm::allgather_u64(std::uint64_t value) {
@@ -381,47 +330,55 @@ Comm* Comm::split(int color, int key) {
   struct Slot {
     int color;
     int key;
-    int parent_rank;
     Comm* out = nullptr;
   };
-  Slot slot{color, key, rank(), nullptr};
+  Slot slot{color, key, nullptr};
   const int nranks = size();
   const NetworkModel net = net_;
   Engine* engine = engine_;
   std::vector<TaskState*>* members = &members_;
   rendezvous(&slot, [nranks, net, engine, members](std::vector<void*>& slots,
                                                    double tmax) {
-    // Group by color, order each group by (key, parent rank).
-    std::vector<Slot*> all;
-    all.reserve(static_cast<std::size_t>(nranks));
-    for (auto* raw : slots) all.push_back(static_cast<Slot*>(raw));
-    std::vector<int> order(static_cast<std::size_t>(nranks));
-    for (int i = 0; i < nranks; ++i) order[static_cast<std::size_t>(i)] = i;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const Slot* sa = all[static_cast<std::size_t>(a)];
-      const Slot* sb = all[static_cast<std::size_t>(b)];
-      return std::tie(sa->color, sa->key, sa->parent_rank) <
-             std::tie(sb->color, sb->key, sb->parent_rank);
-    });
+    // Group by color, order each group by (key, parent rank). The keys are
+    // copied into one flat array first: comparing through the slots would
+    // touch a different fiber stack on every comparison. A split whose keys
+    // already follow the parent ranks (every contiguous file split) skips
+    // the sort.
+    struct Entry {
+      int color;
+      int key;
+      int parent_rank;
+    };
+    std::vector<Entry> order(static_cast<std::size_t>(nranks));
+    for (int i = 0; i < nranks; ++i) {
+      const auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
+      order[static_cast<std::size_t>(i)] = Entry{s.color, s.key, i};
+    }
+    const auto before = [](const Entry& a, const Entry& b) {
+      return std::tie(a.color, a.key, a.parent_rank) <
+             std::tie(b.color, b.key, b.parent_rank);
+    };
+    if (!std::is_sorted(order.begin(), order.end(), before)) {
+      std::sort(order.begin(), order.end(), before);
+    }
     std::size_t i = 0;
     while (i < order.size()) {
-      const int group_color = all[static_cast<std::size_t>(order[i])]->color;
+      const int group_color = order[i].color;
       std::size_t j = i;
-      while (j < order.size() &&
-             all[static_cast<std::size_t>(order[j])]->color == group_color) {
-        ++j;
-      }
+      while (j < order.size() && order[j].color == group_color) ++j;
       if (group_color >= 0) {
         std::vector<TaskState*> group;
         group.reserve(j - i);
         for (std::size_t k = i; k < j; ++k) {
           group.push_back(
-              (*members)[static_cast<std::size_t>(order[k])]);
+              (*members)[static_cast<std::size_t>(order[k].parent_rank)]);
         }
         Comm& child = engine->adopt_comm(
             Comm::create(*engine, std::move(group), net));
         for (std::size_t k = i; k < j; ++k) {
-          all[static_cast<std::size_t>(order[k])]->out = &child;
+          static_cast<Slot*>(
+              slots[static_cast<std::size_t>(order[k].parent_rank)])
+              ->out = &child;
         }
       }
       i = j;
@@ -563,6 +520,241 @@ std::vector<std::byte> Comm::rotate_bytes(std::span<const std::byte> data,
 }
 
 // ---------------------------------------------------------------------------
+// fused two-level exchange
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// exchange()'s rendezvous slot, on every task's stack: a few words.
+struct ExchangeSlot {
+  Comm::Exchange* x;
+  Comm* lcom;
+  double arrival;
+  int group;
+  int lrank;
+  std::uint32_t code;        // this task's status code
+  std::uint32_t shared = 0;  // out: lcom rank 0's code, when a vote failed
+  bool failed = false;       // out: a vote failed
+};
+
+}  // namespace
+
+Status Comm::exchange(Comm& lcom, int group, int ngroups,
+                      std::span<const Step> steps, Exchange& x,
+                      const Status& mine, const char* what) {
+  ExchangeSlot slot{&x,
+                    &lcom,
+                    calling_task().now(),
+                    group,
+                    lcom.rank(),
+                    static_cast<std::uint32_t>(mine.code())};
+  const int my_rank = rank();
+  if (arrive(&slot, my_rank)) {
+    calling_task().advance_to(finish_exchange(ngroups, steps, my_rank));
+  }
+  if (!slot.failed) return Status::Ok();
+  if (slot.shared != 0) {
+    if (slot.lrank == 0) return mine;
+    return Status(static_cast<ErrorCode>(slot.shared), what);
+  }
+  if (!mine.ok()) return mine;
+  return Internal(what);
+}
+
+// Out of line: its locals sit only on the last arrival's stack, never in
+// the frame every task keeps while it waits. Two passes over the slots (each
+// on a different fiber stack): the first reads the groups, clocks and
+// statuses, then the steps are charged per group, and the second moves the
+// data of the steps that ran.
+__attribute__((noinline)) double Comm::finish_exchange(
+    int ngroups, std::span<const Step> steps, int my_rank) {
+  const auto n = static_cast<std::size_t>(size());
+  const auto ng = static_cast<std::size_t>(ngroups);
+  const auto slot_of = [this](std::size_t i) -> ExchangeSlot& {
+    return *static_cast<ExchangeSlot*>(site_slots_[i]);
+  };
+  std::size_t nwords = 0;
+  for (const Step step : steps) {
+    if (step == Step::kBcast || step == Step::kGather ||
+        step == Step::kScatter) {
+      ++nwords;
+    }
+  }
+
+  // Pass 1: the file groups, their clocks (latest arrival), their masters
+  // and the masters' words. A group's slots come in lcom rank order.
+  ExchangeScratch& xs = xs_;
+  xs.lcom.assign(ng, nullptr);
+  xs.root.assign(ng, nullptr);
+  xs.clock.assign(ng, 0.0);
+  xs.count.assign(ng, 0);
+  xs.shared.assign(ng, 0);
+  xs.root_words.resize(ng * nwords);
+  bool any_failed = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ExchangeSlot& s = slot_of(i);
+    SION_CHECK(s.group >= 0 && s.group < ngroups)
+        << "exchange group " << s.group << " out of range";
+    SION_CHECK(s.x->words.size() == nwords)
+        << "exchange word count mismatch on comm rank " << i;
+    const auto g = static_cast<std::size_t>(s.group);
+    SION_CHECK(s.lrank == xs.count[g]++)
+        << "exchange: lcom ranks must follow the comm's rank order";
+    if (s.lrank == 0) {
+      xs.lcom[g] = s.lcom;
+      xs.root[g] = s.x;
+      xs.clock[g] = s.arrival;
+      xs.shared[g] = s.code;
+      std::copy(s.x->words.begin(), s.x->words.end(),
+                xs.root_words.begin() + static_cast<std::ptrdiff_t>(g * nwords));
+    } else {
+      SION_CHECK(xs.lcom[g] == s.lcom) << "exchange group spans two comms";
+      if (s.arrival > xs.clock[g]) xs.clock[g] = s.arrival;
+    }
+    if (s.code != 0) any_failed = true;
+  }
+  for (std::size_t g = 0; g < ng; ++g) {
+    SION_CHECK(xs.count[g] == 0 || xs.count[g] == xs.lcom[g]->size())
+        << "exchange group " << g << " does not cover its communicator";
+  }
+  const auto lsize = [&xs](std::size_t g) { return xs.lcom[g]->size(); };
+  // A gcom step: every file waits for the latest one.
+  const auto sync_all = [&] {
+    double latest = -std::numeric_limits<double>::infinity();
+    for (std::size_t g = 0; g < ng; ++g) {
+      if (xs.count[g] != 0 && xs.clock[g] > latest) latest = xs.clock[g];
+    }
+    latest = latest + net_.sync_cost(size());
+    for (std::size_t g = 0; g < ng; ++g) xs.clock[g] = latest;
+  };
+  // An lcom step: each file adds its own cost.
+  const auto charge = [&](auto cost_of) {
+    for (std::size_t g = 0; g < ng; ++g) {
+      if (xs.count[g] != 0) xs.clock[g] = xs.clock[g] + cost_of(g);
+    }
+  };
+  const auto rooted = [&](std::size_t g) {
+    return net_.rooted_cost(lsize(g),
+                            8ULL * static_cast<std::uint64_t>(lsize(g)));
+  };
+  const auto bcast = [&](std::size_t g) {
+    return net_.bcast_cost(lsize(g), sizeof(std::uint64_t));
+  };
+
+  // The costs, in step order, up to a failed vote.
+  bool failed = false;
+  std::size_t ran = 0;
+  std::size_t ngathers = 0;
+  while (ran < steps.size() && !failed) {
+    switch (steps[ran++]) {
+      case Step::kVote:
+        charge(bcast);
+        for (std::size_t g = 0; g < ng; ++g) {
+          if (xs.count[g] != 0 && xs.shared[g] != 0) failed = true;
+        }
+        if (!(ng == 1 && xs.lcom[0] == this)) {  // two levels: gcom agrees
+          failed = failed || any_failed;
+          sync_all();
+        }
+        break;
+      case Step::kBcast:
+        charge(bcast);
+        break;
+      case Step::kGather:
+        ++ngathers;
+        charge(rooted);
+        break;
+      case Step::kScatter:
+        charge(rooted);
+        break;
+      case Step::kScatterv:
+        charge([&](std::size_t g) {
+          std::uint64_t bytes = 0;
+          for (const std::uint64_t b : xs.root[g]->piece_sizes) bytes += b;
+          SION_CHECK(xs.root[g]->piece_sizes.size() ==
+                         static_cast<std::size_t>(lsize(g)) &&
+                     bytes <= xs.root[g]->pieces.size())
+              << "exchange scatterv needs lcom.size() pieces";
+          return net_.rooted_cost(lsize(g), bytes);
+        });
+        break;
+      case Step::kSync:
+        sync_all();
+        break;
+    }
+  }
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (xs.count[g] == 0 || ngathers == 0) continue;
+    SION_CHECK(xs.root[g]->gathered != nullptr)
+        << "exchange gather without a destination";
+    xs.root[g]->gathered->resize(ngathers *
+                                 static_cast<std::size_t>(lsize(g)));
+  }
+
+  // Pass 2: every task's data for the steps that ran.
+  xs.piece_at.assign(ng, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ExchangeSlot& s = slot_of(i);
+    const auto g = static_cast<std::size_t>(s.group);
+    const auto r = static_cast<std::size_t>(s.lrank);
+    const auto ls = static_cast<std::size_t>(lsize(g));
+    const Exchange& root = *xs.root[g];
+    std::span<std::uint64_t> words = s.x->words;
+    std::size_t w = 0;
+    std::size_t gathered = 0;
+    std::size_t scattered = 0;
+    for (std::size_t k = 0; k < ran; ++k) {
+      switch (steps[k]) {
+        case Step::kBcast:
+          words[w] = xs.root_words[g * nwords + w];
+          ++w;
+          break;
+        case Step::kGather:
+          (*root.gathered)[gathered++ * ls + r] = words[w++];
+          break;
+        case Step::kScatter: {
+          const std::size_t at = scattered++ * ls + r;
+          SION_CHECK(at < root.scatter.size())
+              << "exchange scatter needs lcom.size() words per step";
+          words[w++] = root.scatter[at];
+          break;
+        }
+        case Step::kScatterv: {
+          const std::uint64_t bytes = root.piece_sizes[r];
+          s.x->piece = root.pieces.subspan(xs.piece_at[g], bytes);
+          xs.piece_at[g] += bytes;
+          break;
+        }
+        case Step::kVote:
+        case Step::kSync:
+          break;
+      }
+    }
+    if (failed) {
+      s.failed = true;
+      s.shared = xs.shared[g];
+    }
+  }
+
+  // Release each file at its clock.
+  const ExchangeSlot& me = slot_of(static_cast<std::size_t>(my_rank));
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (xs.count[g] == 0) continue;
+    Comm& l = *xs.lcom[g];
+    const auto skip = static_cast<std::size_t>(
+        static_cast<int>(g) == me.group ? me.lrank : l.size());
+    if (l.ascending_ranks_) {
+      engine_->wake_members(l.members_, skip, xs.clock[g]);
+    } else {
+      for (std::size_t k = 0; k < l.members_.size(); ++k) {
+        if (k != skip) engine_->wake(*l.members_[k], xs.clock[g]);
+      }
+    }
+  }
+  return xs.clock[static_cast<std::size_t>(me.group)];
+}
+
+// ---------------------------------------------------------------------------
 // status agreement
 // ---------------------------------------------------------------------------
 
@@ -581,11 +773,6 @@ Status agree_status(Comm& comm, const Status& mine, const char* what) {
   if (failed == 0) return Status::Ok();
   if (!mine.ok()) return mine;
   return Internal(what);
-}
-
-Status share_status_global(Comm& lcom, Comm& gcom, const Status& mine,
-                           int root, const char* what) {
-  return agree_status(gcom, share_status(lcom, mine, root, what), what);
 }
 
 }  // namespace sion::par

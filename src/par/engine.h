@@ -187,6 +187,15 @@ class Engine {
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
+  // Collective rendezvous completed on this engine's communicators, and the
+  // member slots they retired: slots / ntasks is how often each task of a
+  // run suspended in a collective. Counted once per retired site; reading
+  // them never changes virtual time.
+  [[nodiscard]] std::uint64_t rendezvous_count() const { return rendezvous_; }
+  [[nodiscard]] std::uint64_t rendezvous_slots() const {
+    return rendezvous_slots_;
+  }
+
   // --- runtime internals, used by TaskState/Comm -------------------------
 
   // Put the current task back in the ready queue at its (possibly advanced)
@@ -207,6 +216,12 @@ class Engine {
   // Comm objects created during a run (world + splits) live here so that raw
   // Comm& handed to tasks stay valid for the whole run.
   Comm& adopt_comm(std::unique_ptr<Comm> comm);
+
+  // Called by Comm when a rendezvous of `slots` members retires.
+  void count_rendezvous(std::size_t slots) {
+    ++rendezvous_;
+    rendezvous_slots_ += slots;
+  }
 
  private:
   // Min-heap of (vtime, rank); deterministic tie-break by rank.
@@ -281,6 +296,8 @@ class Engine {
 
   EngineConfig config_;
   double epoch_ = 0.0;
+  std::uint64_t rendezvous_ = 0;
+  std::uint64_t rendezvous_slots_ = 0;
 
   // Per-run state.
   std::vector<TaskState> tasks_;

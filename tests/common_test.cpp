@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "common/codec.h"
 #include "common/narrow.h"
@@ -312,7 +314,8 @@ TEST(StringsTest, Strformat) {
 TEST(OptionsTest, ParsesFlagsAndPositionals) {
   const char* argv[] = {"prog",       "--ntasks=64k", "--nfiles=16",
                         "input.sion", "--verbose",    "out.sion"};
-  Options opts(6, argv);
+  Options opts(6, argv, {"ntasks", "nfiles", "verbose", "quiet"});
+  EXPECT_FALSE(opts.stop());
   EXPECT_EQ(opts.get_u64("ntasks"), 64u * kKiB);
   EXPECT_EQ(opts.get_u64("nfiles"), 16u);
   EXPECT_TRUE(opts.get_bool("verbose"));
@@ -326,7 +329,8 @@ TEST(OptionsTest, ParsesFlagsAndPositionals) {
 
 TEST(OptionsTest, DoubleDashEndsFlagParsing) {
   const char* argv[] = {"prog", "--verbose", "--", "--ntasks=8", "plain"};
-  Options opts(5, argv);
+  Options opts(5, argv, {"verbose"});
+  EXPECT_EQ(opts.unknown_flag(), "");
   EXPECT_TRUE(opts.get_bool("verbose"));
   // After "--", flag-looking arguments are positional; no empty-named flag
   // is registered for the bare "--" itself.
@@ -338,11 +342,39 @@ TEST(OptionsTest, DoubleDashEndsFlagParsing) {
 
 TEST(OptionsTest, EmptyValueAndRepeatedFlags) {
   const char* argv[] = {"prog", "--out=", "--n=1", "--n=2k"};
-  Options opts(4, argv);
+  Options opts(4, argv, {"out", "n"});
   EXPECT_TRUE(opts.has("out"));
   EXPECT_EQ(opts.get_string("out", "dflt"), "");
   // Last occurrence of a repeated flag wins.
   EXPECT_EQ(opts.get_u64("n"), 2u * kKiB);
+}
+
+TEST(OptionsTest, UnknownFlagStopsTheBinaryAndIsNamed) {
+  const char* argv[] = {"bench_staging", "--scal=0.05", "--json", "--typo"};
+  const Options opts(4, argv, {"scale", "json"});
+  EXPECT_EQ(opts.unknown_flag(), "scal");  // the first one
+  const std::optional<Options::Stop> stop = opts.stop();
+  ASSERT_TRUE(stop.has_value());
+  EXPECT_NE(stop->code, 0);
+  EXPECT_NE(stop->text.find("--scal "), std::string::npos) << stop->text;
+}
+
+TEST(OptionsTest, HelpListsTheKnownFlagsAndExitsZero) {
+  const char* argv[] = {"quickstart", "--help", "--ntasks=4"};
+  const Options opts(3, argv, {"ntasks", "nfiles"});
+  EXPECT_EQ(opts.unknown_flag(), "");
+  const std::optional<Options::Stop> stop = opts.stop();
+  ASSERT_TRUE(stop.has_value());
+  EXPECT_EQ(stop->code, 0);
+  EXPECT_NE(stop->text.find("--ntasks\n"), std::string::npos) << stop->text;
+  EXPECT_NE(stop->text.find("--nfiles\n"), std::string::npos) << stop->text;
+}
+
+TEST(OptionsTest, KnownFlagsAndPositionalsRun) {
+  const char* argv[] = {"siondump", "--chunks", "file.sion"};
+  const Options opts(3, argv, {"chunks"});
+  EXPECT_FALSE(opts.stop().has_value());
+  EXPECT_TRUE(opts.get_bool("chunks"));
 }
 
 TEST(RngTest, DeterministicForSeed) {

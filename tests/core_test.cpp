@@ -629,6 +629,46 @@ TEST(ParFileTest, OneTaskWithNonPowerOfTwoBlockSizeFailsEveryTask) {
   }
 }
 
+// Suspensions per task of one SION open + close, read from the engine's
+// rendezvous counter: every run of collectives between two file-system
+// operations is one rendezvous (par::Comm::exchange). Before the fused
+// exchange the write pass (open + close) took 17 and the read pass 13.
+TEST(ParFileTest, OpenCloseRendezvousCounts) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  constexpr int kTasks = 64;
+  const auto slots_per_task = [&](const par::Engine::TaskFn& body) {
+    const std::uint64_t before = engine.rendezvous_slots();
+    engine.run(kTasks, body);
+    return (engine.rendezvous_slots() - before) / kTasks;
+  };
+  for (const bool frames : {false, true}) {
+    const std::string name = frames ? "counted_frames.sion" : "counted.sion";
+    const std::uint64_t write = slots_per_task([&](par::Comm& world) {
+      ParOpenSpec spec;
+      spec.filename = name;
+      spec.nfiles = 4;
+      spec.chunksize = 4096;
+      spec.chunk_frames = frames;
+      auto sion = SionParFile::open_write(fs, world, spec);
+      ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+      ASSERT_TRUE(sion.value()->close().ok());
+    });
+    const std::uint64_t read = slots_per_task([&](par::Comm& world) {
+      auto sion = SionParFile::open_read(fs, world, name);
+      ASSERT_TRUE(sion.ok()) << sion.status().to_string();
+      ASSERT_TRUE(sion.value()->close().ok());
+    });
+    // Write: split | block size + gathers | create vote + layout | open
+    // vote (+ the closing barrier without frames) | [first frame, then its
+    // allreduce] | chunk-usage gather | metablock-2 vote | closing barrier.
+    EXPECT_EQ(write, frames ? 8u : 7u) << "frames " << frames;
+    // Read: status + file map | split | vote + view | open vote + barrier |
+    // closing barrier.
+    EXPECT_EQ(read, 5u) << "frames " << frames;
+  }
+}
+
 // The 64-byte chunk recovery frame is an on-disk format that sionrepair
 // reads back, so its bytes are pinned: task 1's frame of block 1 after the
 // task wrote 70000 bytes into 64 KiB chunks (4528 bytes land in block 1).

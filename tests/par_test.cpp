@@ -414,6 +414,239 @@ TEST(SplitTest, NestedSplits) {
   });
 }
 
+TEST(SplitTest, DescendingKeysInterleavedColorsWithTies) {
+  // Three interleaved colors, keys descending in pairs (ties fall back to
+  // the parent rank), and one rank outside every child: the flat-array sort
+  // must order each child exactly like MPI_Comm_split.
+  Engine engine;
+  constexpr int kTasks = 14;
+  engine.run(kTasks, [&](Comm& world) {
+    const int r = world.rank();
+    const int color = r == 5 ? -1 : r % 3;
+    Comm* child = world.split(color, -(r / 2));
+    if (color < 0) {
+      EXPECT_EQ(child, nullptr);
+      return;
+    }
+    ASSERT_NE(child, nullptr);
+    std::vector<int> expected;
+    for (int key = -(kTasks - 1) / 2; key <= 0; ++key) {
+      for (int g = 0; g < kTasks; ++g) {
+        if (g != 5 && g % 3 == color && -(g / 2) == key) expected.push_back(g);
+      }
+    }
+    ASSERT_EQ(child->size(), static_cast<int>(expected.size()));
+    const auto order = child->allgather_u64(static_cast<std::uint64_t>(r));
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(order[i], static_cast<std::uint64_t>(expected[i]));
+    }
+    EXPECT_EQ(expected[static_cast<std::size_t>(child->rank())], r);
+  });
+}
+
+TEST(SplitTest, ContiguousChildRanksStartAtZero) {
+  // A contiguous split of a contiguous comm that does not start at global
+  // rank 0 (rank() takes the O(1) offset path on both levels).
+  Engine engine;
+  engine.run(12, [&](Comm& world) {
+    const int r = world.rank();
+    Comm* third = world.split(r / 4, r);
+    ASSERT_NE(third, nullptr);
+    EXPECT_EQ(third->rank(), r % 4);
+    Comm* pair = third->split(third->rank() / 2, third->rank());
+    ASSERT_NE(pair, nullptr);
+    EXPECT_EQ(pair->rank(), r % 2);
+    EXPECT_EQ(pair->allreduce_u64(static_cast<std::uint64_t>(r),
+                                  ReduceOp::kMin),
+              static_cast<std::uint64_t>(r - r % 2));
+  });
+}
+
+// --- fused two-level exchange ------------------------------------------------
+
+// Files of unequal size over 11 tasks: file f holds the ranks with
+// r * 7 % 3 == f (sizes 4, 4, 3, interleaved), entered at staggered times.
+int exchange_file_of(int r) { return r * 7 % 3; }
+
+struct ExchangeRun {
+  std::vector<double> released;  // per rank, after the chain
+  std::vector<std::uint64_t> got;  // per rank: bcast, scatter results
+  std::vector<std::vector<std::uint64_t>> gathered;  // per file master
+  std::vector<ErrorCode> codes;
+  std::vector<std::vector<std::byte>> pieces;  // per rank
+};
+
+// Runs the chain vote, bcast, gather, scatter, scatterv either fused or as
+// the unfused collectives; `fail_rank` (if >= 0) fails its own status.
+ExchangeRun run_chain(bool fused, int fail_rank) {
+  constexpr int kTasks = 11;
+  Engine engine;
+  ExchangeRun out;
+  out.released.resize(kTasks);
+  out.got.resize(2 * kTasks);
+  out.gathered.resize(3);
+  out.codes.resize(kTasks);
+  out.pieces.resize(kTasks);
+  engine.run(kTasks, [&](Comm& world) {
+    const int r = world.rank();
+    const int f = exchange_file_of(r);
+    Comm* lcom = world.split(f, r);
+    ASSERT_NE(lcom, nullptr);
+    this_task()->compute(1.0e-6 * ((r * 37) % 11));
+    const Status mine =
+        r == fail_rank ? IoError("local failure") : Status::Ok();
+    const bool master = lcom->rank() == 0;
+    std::vector<std::uint64_t> to_scatter;
+    std::vector<std::byte> pieces;  // lcom rank i's piece: i + 1 bytes
+    std::vector<std::uint64_t> piece_sizes;
+    if (master) {
+      for (int i = 0; i < lcom->size(); ++i) {
+        to_scatter.push_back(static_cast<std::uint64_t>(100 * f + i));
+        piece_sizes.push_back(static_cast<std::uint64_t>(i + 1));
+        pieces.insert(pieces.end(), static_cast<std::size_t>(i + 1),
+                      static_cast<std::byte>(16 * f + i));
+      }
+    }
+    std::vector<std::byte> piece;
+    std::uint64_t words[3] = {master ? 1000u + static_cast<unsigned>(f) : 0u,
+                              static_cast<std::uint64_t>(r), 0};
+    std::vector<std::uint64_t> gathered;
+    Status st;
+    if (fused) {
+      static constexpr Comm::Step kSteps[] = {
+          Comm::Step::kVote, Comm::Step::kBcast, Comm::Step::kGather,
+          Comm::Step::kScatter, Comm::Step::kScatterv};
+      Comm::Exchange x;
+      x.words = words;
+      x.gathered = &gathered;
+      x.scatter = to_scatter;
+      x.pieces = pieces;
+      x.piece_sizes = piece_sizes;
+      st = world.exchange(*lcom, f, 3, kSteps, x, mine, "chain failed");
+      piece.assign(x.piece.begin(), x.piece.end());
+    } else {
+      st = share_status(*lcom, mine, 0, "chain failed");
+      if (st.ok()) st = mine;
+      st = agree_status(world, st, "chain failed");
+      if (st.ok()) {
+        words[0] = lcom->bcast_u64(words[0], 0);
+        gathered = lcom->gather_u64(words[1], 0);
+        words[2] = lcom->scatter_u64(to_scatter, 0);
+        piece = lcom->scatterv_bytes_flat(pieces, piece_sizes, 0);
+      }
+    }
+    out.codes[static_cast<std::size_t>(r)] = st.code();
+    out.released[static_cast<std::size_t>(r)] = this_task()->now();
+    out.got[static_cast<std::size_t>(2 * r)] = words[0];
+    out.got[static_cast<std::size_t>(2 * r + 1)] = words[2];
+    if (master) out.gathered[static_cast<std::size_t>(f)] = gathered;
+    out.pieces[static_cast<std::size_t>(r)] = piece;
+    // A fused piece is a view into the master's buffer: the master keeps it
+    // until the next collective.
+    world.barrier();
+  });
+  return out;
+}
+
+TEST(ExchangeTest, MatchesTheUnfusedChainBitForBit) {
+  const ExchangeRun fused = run_chain(true, -1);
+  const ExchangeRun plain = run_chain(false, -1);
+  EXPECT_EQ(fused.released, plain.released);
+  EXPECT_EQ(fused.got, plain.got);
+  EXPECT_EQ(fused.gathered, plain.gathered);
+  EXPECT_EQ(fused.pieces, plain.pieces);
+  // The files released at their own times (the 3-task file first), every
+  // task got its file master's word, and each master its file's global
+  // ranks in lcom order.
+  EXPECT_LT(fused.released[2], fused.released[0]);
+  EXPECT_EQ(fused.released[2], fused.released[8]);
+  for (int r = 0; r < 11; ++r) {
+    EXPECT_EQ(fused.codes[static_cast<std::size_t>(r)], ErrorCode::kOk);
+    EXPECT_EQ(fused.got[static_cast<std::size_t>(2 * r)],
+              1000u + static_cast<unsigned>(exchange_file_of(r)));
+  }
+  EXPECT_EQ(fused.pieces[8], std::vector<std::byte>(3, std::byte{16 * 2 + 2}));
+  ASSERT_EQ(fused.gathered[2].size(), 3u);
+  EXPECT_EQ(fused.gathered[2], (std::vector<std::uint64_t>{2, 5, 8}));
+}
+
+TEST(ExchangeTest, FailedVoteStopsTheChainWhereTheUnfusedOneReturns) {
+  // Rank 3 is file 0's second task (0, 3, 6, 9); rank 1 masters file 1.
+  for (const int fail_rank : {3, 1}) {
+    const ExchangeRun fused = run_chain(true, fail_rank);
+    const ExchangeRun plain = run_chain(false, fail_rank);
+    EXPECT_EQ(fused.released, plain.released) << "failing rank " << fail_rank;
+    EXPECT_EQ(fused.codes, plain.codes) << "failing rank " << fail_rank;
+    for (int r = 0; r < 11; ++r) {
+      const ErrorCode want =
+          r == fail_rank || (fail_rank == 1 && exchange_file_of(r) == 1)
+              ? ErrorCode::kIoError
+              : ErrorCode::kInternal;
+      EXPECT_EQ(fused.codes[static_cast<std::size_t>(r)], want)
+          << "rank " << r << ", failing rank " << fail_rank;
+    }
+  }
+}
+
+TEST(ExchangeTest, OneLevelVoteIsTheShareAlone) {
+  // With lcom == gcom the vote is share_status: a broadcast, no agreement.
+  for (const int fail_rank : {-1, 0}) {
+    std::vector<double> times[2];
+    std::vector<ErrorCode> codes[2];
+    for (const bool fused : {true, false}) {
+      Engine engine;
+      auto& t = times[fused ? 0 : 1];
+      auto& c = codes[fused ? 0 : 1];
+      t.resize(6);
+      c.resize(6);
+      engine.run(6, [&](Comm& world) {
+        const int r = world.rank();
+        this_task()->compute(1.0e-6 * r);
+        const Status mine = r == fail_rank ? NotFound("gone") : Status::Ok();
+        std::uint64_t v = r == 0 ? 42 : 0;
+        Status st;
+        if (fused) {
+          static constexpr Comm::Step kSteps[] = {Comm::Step::kVote,
+                                                  Comm::Step::kBcast};
+          Comm::Exchange x;
+          x.words = std::span(&v, 1);
+          st = world.exchange(world, 0, 1, kSteps, x, mine, "share");
+        } else {
+          st = share_status(world, mine, 0, "share");
+          if (st.ok()) v = world.bcast_u64(v, 0);
+        }
+        if (st.ok()) {
+          EXPECT_EQ(v, 42u);
+        }
+        t[static_cast<std::size_t>(r)] = this_task()->now();
+        c[static_cast<std::size_t>(r)] = st.code();
+      });
+    }
+    EXPECT_EQ(times[0], times[1]) << "failing rank " << fail_rank;
+    EXPECT_EQ(codes[0], codes[1]) << "failing rank " << fail_rank;
+  }
+}
+
+TEST(ExchangeTest, CountsOneRendezvousForTheWholeChain) {
+  Engine engine;
+  engine.run(8, [&](Comm& world) {
+    Comm* half = world.split(world.rank() / 4, world.rank());
+    ASSERT_NE(half, nullptr);
+    const std::uint64_t before = world.engine().rendezvous_count();
+    static constexpr Comm::Step kSteps[] = {
+        Comm::Step::kVote, Comm::Step::kBcast, Comm::Step::kSync};
+    std::uint64_t v = 7;
+    Comm::Exchange x;
+    x.words = std::span(&v, 1);
+    ASSERT_TRUE(world.exchange(*half, world.rank() / 4, 2, kSteps, x,
+                               Status::Ok(), "x")
+                    .ok());
+    EXPECT_EQ(v, 7u);
+    EXPECT_EQ(world.engine().rendezvous_count(), before + 1);
+  });
+  EXPECT_EQ(engine.rendezvous_slots(), 8u + 8u);  // the split, the exchange
+}
+
 TEST(P2pTest, SendThenRecv) {
   Engine engine;
   engine.run(2, [&](Comm& world) {

@@ -9,7 +9,11 @@
 #include "tools/defrag.h"
 
 int main(int argc, char** argv) {
-  const sion::Options opts(argc, argv);
+  const sion::Options opts(argc, argv, {"nfiles", "blksize"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   if (opts.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: %s [--nfiles=N] [--blksize=SIZE] <input> <output>\n",

@@ -8,7 +8,11 @@
 #include "tools/dump.h"
 
 int main(int argc, char** argv) {
-  const sion::Options opts(argc, argv);
+  const sion::Options opts(argc, argv, {"chunks"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   if (opts.positional().size() != 1) {
     std::fprintf(stderr, "usage: %s [--chunks] <multifile>\n",
                  opts.program().c_str());

@@ -16,7 +16,11 @@
 #include "fs/posix_fs.h"
 
 int main(int argc, char** argv) {
-  const sion::Options opts(argc, argv);
+  const sion::Options opts(argc, argv, {"force"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   if (opts.positional().size() != 1) {
     std::fprintf(stderr, "usage: %s [--force] <multifile>\n",
                  opts.program().c_str());

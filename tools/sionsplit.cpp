@@ -9,7 +9,11 @@
 #include "tools/split.h"
 
 int main(int argc, char** argv) {
-  const sion::Options opts(argc, argv);
+  const sion::Options opts(argc, argv, {"rank"});
+  if (const auto stop = opts.stop()) {
+    std::fputs(stop->text.c_str(), stop->code == 0 ? stdout : stderr);
+    return stop->code;
+  }
   if (opts.positional().size() != 2) {
     std::fprintf(stderr, "usage: %s [--rank=N] <multifile> <output-prefix>\n",
                  opts.program().c_str());
