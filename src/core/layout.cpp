@@ -29,4 +29,13 @@ Result<FileLayout> FileLayout::create(
   return layout;
 }
 
+std::uint64_t bytes_from(std::span<const std::uint64_t> chunk_bytes,
+                         std::uint64_t block, std::uint64_t pos) {
+  std::uint64_t total = 0;
+  for (std::uint64_t b = block; b < chunk_bytes.size(); ++b) {
+    total += chunk_bytes[b] - (b == block ? std::min(pos, chunk_bytes[b]) : 0);
+  }
+  return total;
+}
+
 }  // namespace sion::core

@@ -120,15 +120,6 @@ Result<FileMeta2> FileMeta2::parse(std::span<const std::byte> bytes) {
   return m;
 }
 
-std::uint64_t bytes_from(std::span<const std::uint64_t> chunk_bytes,
-                         std::uint64_t block, std::uint64_t pos) {
-  std::uint64_t total = 0;
-  for (std::uint64_t b = block; b < chunk_bytes.size(); ++b) {
-    total += chunk_bytes[b] - (b == block ? std::min(pos, chunk_bytes[b]) : 0);
-  }
-  return total;
-}
-
 Result<FileHeader> read_header(fs::File& file) {
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, file.stat());
   // Metablock 1 never exceeds the data_start, which is <= header size
@@ -233,6 +224,20 @@ Status patch_chunk_frame(fs::File& file, std::uint64_t offset,
       file, std::span<const std::byte>(bytes).subspan(kFramePatchAt,
                                                       kFramePatchBytes),
       offset + kFramePatchAt);
+}
+
+Status read_recorded(fs::File& file, std::span<std::byte> out,
+                     std::uint64_t offset) {
+  SION_ASSIGN_OR_RETURN(const std::uint64_t n, file.pread(out, offset));
+  if (n < out.size()) return Corrupt("short read inside a recorded chunk");
+  return Status::Ok();
+}
+
+Status put_chunk_frame(fs::File& file, const ChunkCursor& cursor,
+                       const ChunkFrame& frame, bool fresh) {
+  const std::uint64_t offset = cursor.at(frame.block) - kChunkFrameSize;
+  return fresh ? write_chunk_frame(file, offset, frame)
+               : patch_chunk_frame(file, offset, frame);
 }
 
 std::string physical_file_name(const std::string& base, int filenum,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/layout.h"
 #include "fs/filesystem.h"
 
 namespace sion::core {
@@ -85,6 +86,17 @@ Status write_chunk_frame(fs::File& file, std::uint64_t offset,
 Status patch_chunk_frame(fs::File& file, std::uint64_t offset,
                          const ChunkFrame& frame);
 
+// Reads `out.size()` payload bytes that metablock 2 records at `offset`; a
+// short read means the file lost them (kCorrupt).
+Status read_recorded(fs::File& file, std::span<std::byte> out,
+                     std::uint64_t offset);
+
+// The frame of chunk `frame.block` of a writer walking with `cursor`, in
+// front of the chunk's payload: written whole when the chunk is `fresh`,
+// else patched.
+Status put_chunk_frame(fs::File& file, const ChunkCursor& cursor,
+                       const ChunkFrame& frame, bool fresh);
+
 struct FileHeader {
   std::uint32_t version = kFormatVersion;
   std::uint8_t flags = 0;
@@ -109,11 +121,6 @@ struct FileMeta2 {
   [[nodiscard]] std::vector<std::byte> serialize() const;
   static Result<FileMeta2> parse(std::span<const std::byte> bytes);
 };
-
-// Payload bytes a task's per-chunk usage (one row of metablock 2) holds
-// from byte `pos` of chunk `block` on.
-std::uint64_t bytes_from(std::span<const std::uint64_t> chunk_bytes,
-                         std::uint64_t block = 0, std::uint64_t pos = 0);
 
 // Read and parse metablock 1 from an open physical file.
 Result<FileHeader> read_header(fs::File& file);

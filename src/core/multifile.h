@@ -129,6 +129,13 @@ struct ChunkView {
   [[nodiscard]] std::uint64_t aligned_chunksize() const {
     return round_up(chunksize, fsblksize);
   }
+
+  // This task's walk over its chunks, from the start, with `reserved` bytes
+  // (a recovery frame) in front of every chunk's payload.
+  [[nodiscard]] ChunkCursor cursor(std::uint64_t reserved = 0) const {
+    return ChunkCursor{chunk_start0 + reserved, block_span,
+                       aligned_chunksize() - reserved};
+  }
 };
 
 struct CreateSpec {

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/strings.h"
-#include "common/units.h"
 
 namespace sion::core {
 
@@ -28,8 +26,7 @@ SionParFile::SionParFile(par::Comm& gcom, FilePlacement place, ChunkView view,
       view_(std::move(view)),
       writable_(writable),
       frames_((view_.flags & kFlagChunkFrames) != 0),
-      capacity_(view_.aligned_chunksize() -
-                (frames_ ? kChunkFrameSize : 0)) {}
+      cursor_(view_.cursor(frames_ ? kChunkFrameSize : 0)) {}
 
 // ---------------------------------------------------------------------------
 // open for writing
@@ -65,7 +62,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
 
   // The agreement doubles as the closing barrier: a failed first-frame
   // write (e.g. quota exceeded) on any task must fail the open everywhere.
-  const Status st = out->write_frame(0);
+  const Status st = out->frame(0, /*fresh=*/true);
   const std::uint64_t frame_failed =
       gcom.allreduce_u64(st.ok() ? 0 : 1, par::ReduceOp::kMax);
   if (frame_failed != 0) {
@@ -103,88 +100,54 @@ SionParFile::~SionParFile() {
 }
 
 // ---------------------------------------------------------------------------
-// recovery frames
-// ---------------------------------------------------------------------------
-
-ChunkFrame SionParFile::frame(std::uint64_t block) const {
-  return ChunkFrame{static_cast<std::uint32_t>(gcom_->rank()),
-                    static_cast<std::uint32_t>(place_.lcom->rank()), block,
-                    view_.chunk_bytes[block]};
-}
-
-Status SionParFile::write_frame(std::uint64_t block) {
-  return write_chunk_frame(*view_.file,
-                           chunk_file_offset(block) - kChunkFrameSize,
-                           frame(block));
-}
-
-Status SionParFile::patch_frame(std::uint64_t block) {
-  return patch_chunk_frame(*view_.file,
-                           chunk_file_offset(block) - kChunkFrameSize,
-                           frame(block));
-}
-
-// ---------------------------------------------------------------------------
 // write path
 // ---------------------------------------------------------------------------
 
-Status SionParFile::advance_chunk_write() {
-  if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
-  ++block_;
-  pos_ = 0;
-  view_.chunk_bytes.push_back(0);
-  if (frames_) SION_RETURN_IF_ERROR(write_frame(block_));
+Status SionParFile::frame(std::uint64_t block, bool fresh) {
+  if (!frames_) return Status::Ok();
+  return put_chunk_frame(
+      *view_.file, cursor_,
+      ChunkFrame{static_cast<std::uint32_t>(gcom_->rank()),
+                 static_cast<std::uint32_t>(place_.lcom->rank()), block,
+                 view_.chunk_bytes[block]},
+      fresh);
+}
+
+Status SionParFile::check_writable() const {
+  if (!writable_) return FailedPrecondition("file opened for reading");
+  if (closed_) return FailedPrecondition("file already closed");
   return Status::Ok();
 }
 
 Status SionParFile::ensure_free_space(std::uint64_t nbytes) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (nbytes > capacity_) {
-    return InvalidArgument(
-        strformat("request of %llu bytes exceeds the chunk capacity of %llu; "
-                  "use write() instead",
-                  static_cast<unsigned long long>(nbytes),
-                  static_cast<unsigned long long>(capacity_)));
-  }
-  if (pos_ + nbytes > capacity_) {
-    SION_RETURN_IF_ERROR(advance_chunk_write());
-  }
-  return Status::Ok();
+  SION_RETURN_IF_ERROR(check_writable());
+  return cursor_.reserve(nbytes, view_.chunk_bytes,
+                         [this](std::uint64_t b, bool fresh) {
+                           return frame(b, fresh);
+                         });
 }
 
 Result<std::uint64_t> SionParFile::write_raw(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (data.size() > capacity_ - pos_) {
+  SION_RETURN_IF_ERROR(check_writable());
+  if (data.size() > cursor_.room()) {
     return OutOfRange(
         "write does not fit in the current chunk; call ensure_free_space");
   }
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      view_.file->pwrite(data, chunk_file_offset(block_) + pos_));
-  pos_ += n;
-  view_.chunk_bytes[block_] += n;
-  // Keep the recovery frame current after every write: this is what makes a
-  // crash *between* writes recoverable (the paper's robustness plan), at the
-  // cost of one small extra write per call (measured in bench_ablation).
-  if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
-  return n;
+  return write(data);
 }
 
+// The recovery frame is kept current after every write: this is what makes
+// a crash *between* writes recoverable (the paper's robustness plan), at
+// the cost of one small extra write per extent (measured in bench_ablation).
 Result<std::uint64_t> SionParFile::write(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    if (pos_ == capacity_) SION_RETURN_IF_ERROR(advance_chunk_write());
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t n,
-        write_raw(data.subview(done, std::min(capacity_ - pos_,
-                                              data.size() - done))));
-    done += n;
-  }
-  return done;
+  SION_RETURN_IF_ERROR(check_writable());
+  SION_RETURN_IF_ERROR(cursor_.write(
+      data.size(), view_.chunk_bytes,
+      [&](std::uint64_t offset, std::uint64_t done, std::uint64_t take) {
+        return view_.file->pwrite(data.subview(done, take), offset).status();
+      },
+      [this](std::uint64_t b, bool fresh) { return frame(b, fresh); }));
+  return data.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -194,56 +157,31 @@ Result<std::uint64_t> SionParFile::write(fs::DataView data) {
 bool SionParFile::eof() const { return bytes_remaining_total() == 0; }
 
 std::uint64_t SionParFile::bytes_avail_in_chunk() const {
-  if (block_ >= view_.chunk_bytes.size()) return 0;
-  return view_.chunk_bytes[block_] - pos_;
+  return cursor_.avail(view_.chunk_bytes);
 }
 
 Result<std::uint64_t> SionParFile::read_raw(std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  const std::uint64_t avail = bytes_avail_in_chunk();
-  const std::uint64_t want = std::min<std::uint64_t>(out.size(), avail);
-  if (want == 0) return static_cast<std::uint64_t>(0);
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      view_.file->pread(out.subspan(0, want),
-                        chunk_file_offset(block_) + pos_));
-  pos_ += n;
-  return n;
+  return read(out.first(static_cast<std::size_t>(
+      std::min<std::uint64_t>(out.size(), bytes_avail_in_chunk()))));
 }
 
 Result<std::uint64_t> SionParFile::read(std::span<std::byte> out) {
   if (writable_) return FailedPrecondition("file opened for writing");
-  std::uint64_t done = 0;
-  while (done < out.size() && !eof()) {
-    if (bytes_avail_in_chunk() == 0) {
-      ++block_;
-      pos_ = 0;
-      continue;
-    }
-    SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                          read_raw(out.subspan(done)));
-    done += n;
-  }
-  return done;
+  return cursor_.read(
+      out.size(), view_.chunk_bytes,
+      [&](std::uint64_t offset, std::uint64_t done, std::uint64_t take) {
+        return read_recorded(*view_.file, out.subspan(done, take), offset);
+      });
 }
 
 Status SionParFile::read_skip(std::uint64_t nbytes) {
   if (writable_) return FailedPrecondition("file opened for writing");
-  std::uint64_t done = 0;
-  while (done < nbytes && !eof()) {
-    const std::uint64_t avail = bytes_avail_in_chunk();
-    if (avail == 0) {
-      ++block_;
-      pos_ = 0;
-      continue;
-    }
-    const std::uint64_t take = std::min(nbytes - done, avail);
-    SION_RETURN_IF_ERROR(
-        view_.file->pread_discard(take, chunk_file_offset(block_) + pos_));
-    pos_ += take;
-    done += take;
-  }
-  return Status::Ok();
+  return cursor_
+      .read(nbytes, view_.chunk_bytes,
+            [&](std::uint64_t offset, std::uint64_t, std::uint64_t take) {
+              return view_.file->pread_discard(take, offset);
+            })
+      .status();
 }
 
 // ---------------------------------------------------------------------------
@@ -254,7 +192,7 @@ Status SionParFile::close() {
   if (closed_) return FailedPrecondition("file already closed");
   par::Comm& lcom = *place_.lcom;
   if (writable_) {
-    if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
+    SION_RETURN_IF_ERROR(frame(cursor_.block, /*fresh=*/false));
     const Status st =
         write_chunk_usage(lcom, view_.file.get(), view_.data_start,
                           view_.block_span, view_.chunk_bytes);
@@ -275,7 +213,7 @@ std::uint64_t SionParFile::bytes_written_total() const {
 }
 
 std::uint64_t SionParFile::bytes_remaining_total() const {
-  return bytes_from(view_.chunk_bytes, block_, pos_);
+  return cursor_.remaining(view_.chunk_bytes);
 }
 
 }  // namespace sion::core

@@ -121,9 +121,11 @@ class SionParFile {
 
   [[nodiscard]] bool writable() const { return writable_; }
   // Usable payload capacity of one chunk for this task.
-  [[nodiscard]] std::uint64_t chunk_capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t current_block() const { return block_; }
-  [[nodiscard]] std::uint64_t position_in_chunk() const { return pos_; }
+  [[nodiscard]] std::uint64_t chunk_capacity() const {
+    return cursor_.capacity;
+  }
+  [[nodiscard]] std::uint64_t current_block() const { return cursor_.block; }
+  [[nodiscard]] std::uint64_t position_in_chunk() const { return cursor_.pos; }
   [[nodiscard]] int nfiles() const { return place_.nfiles; }
   [[nodiscard]] int filenum() const { return place_.filenum; }
   [[nodiscard]] const std::string& physical_path() const {
@@ -138,14 +140,10 @@ class SionParFile {
   SionParFile(par::Comm& gcom, FilePlacement place, ChunkView view,
               bool writable);
 
-  [[nodiscard]] std::uint64_t chunk_file_offset(std::uint64_t block) const {
-    return view_.chunk_start0 + block * view_.block_span +
-           (frames_ ? kChunkFrameSize : 0);
-  }
-  [[nodiscard]] ChunkFrame frame(std::uint64_t block) const;
-  Status write_frame(std::uint64_t block);
-  Status patch_frame(std::uint64_t block);
-  Status advance_chunk_write();
+  Status check_writable() const;
+  // The cursor's `frame` hook: writes (`fresh`) or patches the recovery
+  // frame of chunk `block`; a no-op without frames.
+  Status frame(std::uint64_t block, bool fresh);
 
   // Shared state.
   par::Comm* gcom_ = nullptr;
@@ -156,11 +154,7 @@ class SionParFile {
   bool writable_ = false;
   bool closed_ = false;
   bool frames_ = false;
-  std::uint64_t capacity_ = 0;  // payload capacity per chunk
-
-  // Cursor.
-  std::uint64_t block_ = 0;
-  std::uint64_t pos_ = 0;
+  ChunkCursor cursor_;
 };
 
 }  // namespace sion::core

@@ -71,10 +71,9 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_write(
         std::move(created.file), std::move(header), std::move(created.layout)});
   }
 
-  if (spec.chunk_frames) {
-    for (int r = 0; r < nranks; ++r) {
-      SION_RETURN_IF_ERROR(out->write_frame(r, 0));
-    }
+  out->cursor_ = out->cursor_of(0);
+  for (int r = 0; r < nranks; ++r) {
+    SION_RETURN_IF_ERROR(out->frame(r, 0, /*fresh=*/true));
   }
   return out;
 }
@@ -167,6 +166,7 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
     }
     out->rank_ = pinned_rank;
   }
+  out->cursor_ = out->cursor_of(out->rank_);
   return out;
 }
 
@@ -192,20 +192,11 @@ SionSerialFile::~SionSerialFile() {
 // geometry helpers
 // ---------------------------------------------------------------------------
 
-std::uint64_t SionSerialFile::capacity(int rank) const {
-  const std::uint64_t aligned =
-      round_up(locations_.chunksizes[static_cast<std::size_t>(rank)],
-               locations_.fsblksize);
-  return aligned - (locations_.chunk_frames ? kChunkFrameSize : 0);
-}
-
-std::uint64_t SionSerialFile::chunk_file_offset(int rank,
-                                                std::uint64_t block) const {
-  const auto& pf = physical_[static_cast<std::size_t>(
-      locations_.file_of_rank[static_cast<std::size_t>(rank)])];
-  const int local = local_index_[static_cast<std::size_t>(rank)];
-  return pf.layout.chunk_start(local, block) +
-         (locations_.chunk_frames ? kChunkFrameSize : 0);
+ChunkCursor SionSerialFile::cursor_of(int rank) const {
+  const auto r = static_cast<std::size_t>(rank);
+  return physical_[static_cast<std::size_t>(locations_.file_of_rank[r])]
+      .layout.cursor(local_index_[r],
+                     locations_.chunk_frames ? kChunkFrameSize : 0);
 }
 
 fs::File& SionSerialFile::file_of(int rank) const {
@@ -214,30 +205,7 @@ fs::File& SionSerialFile::file_of(int rank) const {
               .file;
 }
 
-ChunkFrame SionSerialFile::frame(int rank, std::uint64_t block) const {
-  const auto r = static_cast<std::size_t>(rank);
-  return ChunkFrame{static_cast<std::uint32_t>(rank),
-                    static_cast<std::uint32_t>(local_index_[r]), block,
-                    locations_.bytes_written[r][block]};
-}
-
-Status SionSerialFile::write_frame(int rank, std::uint64_t block) {
-  return write_chunk_frame(file_of(rank),
-                           chunk_file_offset(rank, block) - kChunkFrameSize,
-                           frame(rank, block));
-}
-
-Status SionSerialFile::patch_frame(int rank, std::uint64_t block) {
-  return patch_chunk_frame(file_of(rank),
-                           chunk_file_offset(rank, block) - kChunkFrameSize,
-                           frame(rank, block));
-}
-
-// ---------------------------------------------------------------------------
-// navigation
-// ---------------------------------------------------------------------------
-
-Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
+Status SionSerialFile::check_rank(int rank) const {
   if (rank < 0 || rank >= locations_.nranks) {
     return InvalidArgument(strformat("rank %d out of range", rank));
   }
@@ -245,19 +213,35 @@ Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
     return InvalidArgument(
         strformat("task-local view is pinned to rank %d", pinned_rank_));
   }
+  return Status::Ok();
+}
+
+Status SionSerialFile::frame(int rank, std::uint64_t block, bool fresh) {
+  if (!locations_.chunk_frames) return Status::Ok();
+  const auto r = static_cast<std::size_t>(rank);
+  return put_chunk_frame(
+      file_of(rank), cursor_of(rank),
+      ChunkFrame{static_cast<std::uint32_t>(rank),
+                 static_cast<std::uint32_t>(local_index_[r]), block,
+                 locations_.bytes_written[r][block]},
+      fresh);
+}
+
+// ---------------------------------------------------------------------------
+// navigation
+// ---------------------------------------------------------------------------
+
+Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
+  SION_RETURN_IF_ERROR(check_rank(rank));
+  ChunkCursor cursor = cursor_of(rank);
   auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank)];
   if (writable_) {
-    if (pos > capacity(rank)) {
+    if (pos > cursor.capacity) {
       return OutOfRange("seek position beyond chunk capacity");
     }
-    if (block >= chunks.size()) {
-      const std::uint64_t old_blocks = chunks.size();
-      chunks.resize(block + 1, 0);
-      if (locations_.chunk_frames) {
-        for (std::uint64_t b = old_blocks; b <= block; ++b) {
-          SION_RETURN_IF_ERROR(write_frame(rank, b));
-        }
-      }
+    for (std::uint64_t b = chunks.size(); b <= block; ++b) {
+      chunks.push_back(0);
+      SION_RETURN_IF_ERROR(frame(rank, b, /*fresh=*/true));
     }
   } else {
     if (block >= chunks.size()) return OutOfRange("seek beyond last chunk");
@@ -265,9 +249,10 @@ Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
       return OutOfRange("seek position beyond data in chunk");
     }
   }
+  cursor.block = block;
+  cursor.pos = pos;
   rank_ = rank;
-  block_ = block;
-  pos_ = pos;
+  cursor_ = cursor;
   return Status::Ok();
 }
 
@@ -275,63 +260,37 @@ Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
 // write path
 // ---------------------------------------------------------------------------
 
-Status SionSerialFile::advance_chunk_write() {
-  auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  if (locations_.chunk_frames) SION_RETURN_IF_ERROR(patch_frame(rank_, block_));
-  ++block_;
-  pos_ = 0;
-  if (block_ >= chunks.size()) {
-    chunks.resize(block_ + 1, 0);
-    if (locations_.chunk_frames) {
-      SION_RETURN_IF_ERROR(write_frame(rank_, block_));
-    }
-  }
+Status SionSerialFile::check_writable() const {
+  if (!writable_) return FailedPrecondition("file opened for reading");
+  if (closed_) return FailedPrecondition("file already closed");
   return Status::Ok();
 }
 
 Status SionSerialFile::ensure_free_space(std::uint64_t nbytes) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (nbytes > capacity(rank_)) {
-    return InvalidArgument("request exceeds chunk capacity; use write()");
-  }
-  if (pos_ + nbytes > capacity(rank_)) {
-    SION_RETURN_IF_ERROR(advance_chunk_write());
-  }
-  return Status::Ok();
+  SION_RETURN_IF_ERROR(check_writable());
+  return cursor_.reserve(
+      nbytes, locations_.bytes_written[static_cast<std::size_t>(rank_)],
+      [this](std::uint64_t b, bool fresh) { return frame(rank_, b, fresh); });
 }
 
 Result<std::uint64_t> SionSerialFile::write_raw(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (data.size() > capacity(rank_) - pos_) {
+  SION_RETURN_IF_ERROR(check_writable());
+  if (data.size() > cursor_.room()) {
     return OutOfRange("write does not fit; call ensure_free_space");
   }
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      file_of(rank_).pwrite(data, chunk_file_offset(rank_, block_) + pos_));
-  pos_ += n;
-  auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  chunks[block_] = std::max(chunks[block_], pos_);
-  if (locations_.chunk_frames) {
-    SION_RETURN_IF_ERROR(patch_frame(rank_, block_));
-  }
-  return n;
+  return write(data);
 }
 
 Result<std::uint64_t> SionSerialFile::write(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    if (pos_ == capacity(rank_)) SION_RETURN_IF_ERROR(advance_chunk_write());
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t n,
-        write_raw(data.subview(done, std::min(capacity(rank_) - pos_,
-                                              data.size() - done))));
-    done += n;
-  }
-  return done;
+  SION_RETURN_IF_ERROR(check_writable());
+  fs::File& file = file_of(rank_);
+  SION_RETURN_IF_ERROR(cursor_.write(
+      data.size(), locations_.bytes_written[static_cast<std::size_t>(rank_)],
+      [&](std::uint64_t offset, std::uint64_t done, std::uint64_t take) {
+        return file.pwrite(data.subview(done, take), offset).status();
+      },
+      [this](std::uint64_t b, bool fresh) { return frame(rank_, b, fresh); }));
+  return data.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -339,43 +298,28 @@ Result<std::uint64_t> SionSerialFile::write(fs::DataView data) {
 // ---------------------------------------------------------------------------
 
 bool SionSerialFile::eof() const {
-  return bytes_from(locations_.bytes_written[static_cast<std::size_t>(rank_)],
-                    block_, pos_) == 0;
+  return cursor_.remaining(
+             locations_.bytes_written[static_cast<std::size_t>(rank_)]) == 0;
 }
 
 std::uint64_t SionSerialFile::bytes_avail_in_chunk() const {
-  const auto& chunks =
-      locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  if (block_ >= chunks.size()) return 0;
-  return chunks[block_] - pos_;
+  return cursor_.avail(
+      locations_.bytes_written[static_cast<std::size_t>(rank_)]);
 }
 
 Result<std::uint64_t> SionSerialFile::read_raw(std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  const std::uint64_t want =
-      std::min<std::uint64_t>(out.size(), bytes_avail_in_chunk());
-  if (want == 0) return static_cast<std::uint64_t>(0);
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      file_of(rank_).pread(out.subspan(0, want),
-                           chunk_file_offset(rank_, block_) + pos_));
-  pos_ += n;
-  return n;
+  return read(out.first(static_cast<std::size_t>(
+      std::min<std::uint64_t>(out.size(), bytes_avail_in_chunk()))));
 }
 
 Result<std::uint64_t> SionSerialFile::read(std::span<std::byte> out) {
   if (writable_) return FailedPrecondition("file opened for writing");
-  std::uint64_t done = 0;
-  while (done < out.size() && !eof()) {
-    if (bytes_avail_in_chunk() == 0) {
-      ++block_;
-      pos_ = 0;
-      continue;
-    }
-    SION_ASSIGN_OR_RETURN(const std::uint64_t n, read_raw(out.subspan(done)));
-    done += n;
-  }
-  return done;
+  fs::File& file = file_of(rank_);
+  return cursor_.read(
+      out.size(), locations_.bytes_written[static_cast<std::size_t>(rank_)],
+      [&](std::uint64_t offset, std::uint64_t done, std::uint64_t take) {
+        return read_recorded(file, out.subspan(done, take), offset);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -391,32 +335,18 @@ Result<std::uint64_t> SionSerialFile::read_at(int rank, std::uint64_t offset,
                                               std::span<std::byte> out) {
   if (writable_) return FailedPrecondition("file opened for writing");
   if (closed_) return FailedPrecondition("file already closed");
-  if (rank < 0 || rank >= locations_.nranks) {
-    return InvalidArgument(strformat("rank %d out of range", rank));
-  }
-  if (pinned_rank_ >= 0 && rank != pinned_rank_) {
-    return InvalidArgument(
-        strformat("task-local view is pinned to rank %d", pinned_rank_));
-  }
+  SION_RETURN_IF_ERROR(check_rank(rank));
   const auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank)];
-  std::uint64_t done = 0;
-  std::uint64_t skip = offset;
-  for (std::uint64_t b = 0; b < chunks.size() && done < out.size(); ++b) {
-    if (skip >= chunks[b]) {
-      skip -= chunks[b];
-      continue;
-    }
-    const std::uint64_t take =
-        std::min<std::uint64_t>(chunks[b] - skip, out.size() - done);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t n,
-        file_of(rank).pread(out.subspan(done, take),
-                            chunk_file_offset(rank, b) + skip));
-    if (n < take) return Corrupt("short read inside a recorded chunk");
-    done += n;
-    skip = 0;
-  }
-  return done;
+  fs::File& file = file_of(rank);
+  ChunkCursor cursor = cursor_of(rank);
+  SION_ASSIGN_OR_RETURN(const std::uint64_t skipped,
+                        cursor.read(offset, chunks, no_io));
+  (void)skipped;
+  return cursor.read(
+      out.size(), chunks,
+      [&](std::uint64_t at, std::uint64_t done, std::uint64_t take) {
+        return read_recorded(file, out.subspan(done, take), at);
+      });
 }
 
 Result<std::vector<std::byte>> SionSerialFile::read_logical(int rank) {
@@ -444,12 +374,9 @@ Status SionSerialFile::close() {
       for (std::uint32_t slot = 0; slot < pf.header.ntasks; ++slot) {
         const std::uint64_t r = pf.header.global_ranks[slot];
         meta2.bytes_written.push_back(locations_.bytes_written[r]);
-        if (locations_.chunk_frames) {
-          for (std::uint64_t b = 0; b < locations_.bytes_written[r].size();
-               ++b) {
-            SION_RETURN_IF_ERROR(
-                patch_frame(static_cast<int>(r), b));
-          }
+        for (std::uint64_t b = 0; b < locations_.bytes_written[r].size();
+             ++b) {
+          SION_RETURN_IF_ERROR(frame(static_cast<int>(r), b, false));
         }
       }
       SION_RETURN_IF_ERROR(write_meta2_and_trailer(

@@ -72,8 +72,8 @@ class SionSerialFile {
   Status seek(int rank, std::uint64_t block, std::uint64_t pos);
 
   [[nodiscard]] int current_rank() const { return rank_; }
-  [[nodiscard]] std::uint64_t current_block() const { return block_; }
-  [[nodiscard]] std::uint64_t position_in_chunk() const { return pos_; }
+  [[nodiscard]] std::uint64_t current_block() const { return cursor_.block; }
+  [[nodiscard]] std::uint64_t position_in_chunk() const { return cursor_.pos; }
 
   // ---- I/O at the cursor ------------------------------------------------------
   Status ensure_free_space(std::uint64_t nbytes);
@@ -117,14 +117,14 @@ class SionSerialFile {
   static Result<std::unique_ptr<SionSerialFile>> open_existing(
       fs::FileSystem& fs, const std::string& name, int pinned_rank);
 
-  [[nodiscard]] std::uint64_t capacity(int rank) const;
-  [[nodiscard]] std::uint64_t chunk_file_offset(int rank,
-                                                std::uint64_t block) const;
+  // Rank `rank`'s walk over its chunks, from the start.
+  [[nodiscard]] ChunkCursor cursor_of(int rank) const;
   [[nodiscard]] fs::File& file_of(int rank) const;
-  [[nodiscard]] ChunkFrame frame(int rank, std::uint64_t block) const;
-  Status write_frame(int rank, std::uint64_t block);
-  Status patch_frame(int rank, std::uint64_t block);
-  Status advance_chunk_write();
+  Status check_rank(int rank) const;
+  // Writes (`fresh`) or patches the recovery frame of chunk `block` of
+  // `rank`; a no-op without frames.
+  Status frame(int rank, std::uint64_t block, bool fresh);
+  Status check_writable() const;
 
   bool writable_ = false;
   bool closed_ = false;
@@ -135,8 +135,7 @@ class SionSerialFile {
 
   // Cursor.
   int rank_ = 0;
-  std::uint64_t block_ = 0;
-  std::uint64_t pos_ = 0;
+  ChunkCursor cursor_;
 };
 
 }  // namespace sion::core

@@ -101,28 +101,19 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
                         core::create_physical_file(fs, gcom, place, create));
 
   // Write the mirrored stream, filling each chunk to capacity before moving
-  // to the same-positioned chunk of the next block (the SionParFile walk).
+  // to the same-positioned chunk of the next block.
   const fs::DataView mirrored =
       src_is_fill != 0
           ? fs::DataView::fill(static_cast<std::byte>(src_fill), src_size)
           : fs::DataView(src_bytes);
-  const std::uint64_t capacity = view.aligned_chunksize();
-  std::vector<std::uint64_t> chunk_bytes;
-  std::uint64_t done = 0;
-  Status st;
-  while (done < src_size && st.ok()) {
-    const std::uint64_t take = std::min(capacity, src_size - done);
-    const std::uint64_t offset =
-        view.chunk_start0 + chunk_bytes.size() * view.block_span;
-    auto wrote = view.file->pwrite(mirrored.subview(done, take), offset);
-    if (!wrote.ok()) {
-      st = wrote.status();
-      break;
-    }
-    chunk_bytes.push_back(take);
-    done += take;
-  }
-  if (chunk_bytes.empty()) chunk_bytes.assign(1, 0);
+  core::ChunkCursor cursor = view.cursor();
+  std::vector<std::uint64_t> chunk_bytes{0};
+  Status st = cursor.write(
+      src_size, chunk_bytes,
+      [&](std::uint64_t offset, std::uint64_t done, std::uint64_t take) {
+        return view.file->pwrite(mirrored.subview(done, take), offset)
+            .status();
+      });
 
   // Per-chunk usage to the master, which writes metablock 2 and the
   // trailer like a parallel close (a master that failed writes nothing).

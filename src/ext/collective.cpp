@@ -251,20 +251,24 @@ Collective::Collective(par::Comm& gcom, core::FilePlacement place,
 // groups).
 void Collective::adopt(core::ChunkView view) {
   view_ = std::move(view);
-  self_.chunk_start0 = view_.chunk_start0;
-  self_.capacity = view_.aligned_chunksize();
+  self_ = view_.cursor();
 
-  const auto starts = group_->gather_u64(self_.chunk_start0, 0);
+  const auto starts = group_->gather_u64(self_.start0, 0);
   const auto caps = group_->gather_u64(self_.capacity, 0);
   auto usage = writable_ ? par::Comm::FlatGatherU64{}
                          : group_->gatherv_u64_flat(view_.chunk_bytes, 0);
   if (!is_collector()) return;
   members_.resize(starts.size());
   for (std::size_t m = 0; m < starts.size(); ++m) {
-    members_[m].chunk_start0 = starts[m];
-    members_[m].capacity = caps[m];
+    members_[m].cursor =
+        core::ChunkCursor{starts[m], view_.block_span, caps[m]};
+    if (writable_) {
+      members_[m].chunk_bytes.assign(1, 0);
+    } else {
+      const auto row = usage.of(static_cast<int>(m));
+      members_[m].chunk_bytes.assign(row.begin(), row.end());
+    }
   }
-  member_chunk_bytes_ = std::move(usage);
 }
 
 Collective::~Collective() {
@@ -279,27 +283,12 @@ Collective::~Collective() {
 // write path
 // ---------------------------------------------------------------------------
 
-void Collective::record_written(std::uint64_t n) {
-  std::uint64_t done = 0;
-  while (done < n) {
-    if (self_.pos == self_.capacity) {
-      ++self_.block;
-      self_.pos = 0;
-      view_.chunk_bytes.push_back(0);
-    }
-    const std::uint64_t take = std::min(self_.capacity - self_.pos, n - done);
-    self_.pos += take;
-    view_.chunk_bytes[self_.block] += take;
-    done += take;
-  }
-}
-
 Status Collective::write_as_collector(fs::DataView own,
                                       const std::vector<std::uint64_t>& sizes) {
   WriteAggregator agg(*view_.file, buffer_bytes_);
   Status st;
   for (int m = 0; m < group_->size(); ++m) {
-    Cursor& c = members_[static_cast<std::size_t>(m)];
+    Member& member = members_[static_cast<std::size_t>(m)];
     std::uint64_t remaining = sizes[static_cast<std::size_t>(m)];
     std::uint64_t done = 0;
     while (remaining > 0) {
@@ -332,25 +321,16 @@ Status Collective::write_as_collector(fs::DataView own,
           piece = fs::DataView(wave_view);
         }
       }
-      // Segment the wave at the member's chunk boundaries and feed the
-      // coalescer; contiguous chunks of adjacent members merge into one
-      // large write when the packing leaves no gaps.
-      std::uint64_t piece_done = 0;
-      while (piece_done < wave) {
-        if (c.pos == c.capacity) {
-          ++c.block;
-          c.pos = 0;
-        }
-        const std::uint64_t take =
-            std::min(c.capacity - c.pos, wave - piece_done);
-        if (st.ok()) {
-          const Status added =
-              agg.add(file_offset(c), piece.subview(piece_done, take));
-          if (!added.ok()) st = added;
-        }
-        c.pos += take;
-        piece_done += take;
-      }
+      // Segment the wave at the member's chunk ends and feed the coalescer;
+      // contiguous chunks of adjacent members merge into one large write
+      // when the packing leaves no gaps. A failure is kept and the walk
+      // goes on, so the cursor stays in step with the member's own.
+      (void)member.cursor.write(
+          wave, member.chunk_bytes,
+          [&](std::uint64_t offset, std::uint64_t at, std::uint64_t take) {
+            if (st.ok()) st = agg.add(offset, piece.subview(at, take));
+            return Status::Ok();
+          });
       remaining -= wave;
       done += wave;
     }
@@ -395,7 +375,8 @@ Status Collective::write(fs::DataView data) {
   } else {
     st = write_as_member(data);
   }
-  record_written(data.size());
+  // Every task counts its own bytes, which the collector wrote.
+  (void)self_.write(data.size(), view_.chunk_bytes, core::no_io);
   return agree(*group_, st);
 }
 
@@ -408,10 +389,10 @@ Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
   Status st;
   std::vector<std::byte> wave_buf;
   for (int m = 0; m < group_->size(); ++m) {
-    Cursor& c = members_[static_cast<std::size_t>(m)];
-    const auto usage = member_chunk_bytes_.of(m);
-    std::uint64_t deliver = std::min(wants[static_cast<std::size_t>(m)],
-                                     core::bytes_from(usage, c.block, c.pos));
+    Member& member = members_[static_cast<std::size_t>(m)];
+    std::uint64_t deliver =
+        std::min(wants[static_cast<std::size_t>(m)],
+                 member.cursor.remaining(member.chunk_bytes));
     std::uint64_t out_pos = 0;
     while (deliver > 0) {
       const std::uint64_t wave = std::min(buffer_bytes_, deliver);
@@ -421,35 +402,21 @@ Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
         // reads straight into own_out.
         wave_buf.resize(static_cast<std::size_t>(skip ? 0 : wave));
       }
-      std::uint64_t got = 0;
-      while (got < wave) {
-        std::uint64_t avail = usage[c.block] - c.pos;
-        if (avail == 0) {
-          ++c.block;
-          c.pos = 0;
-          continue;
-        }
-        const std::uint64_t take = std::min(wave - got, avail);
-        if (st.ok()) {
-          if (skip) {
-            const Status read =
-                view_.file->pread_discard(take, file_offset(c));
-            if (!read.ok()) st = read;
-          } else {
-            std::span<std::byte> dst =
-                m == 0 ? own_out.subspan(out_pos + got, take)
-                       : std::span<std::byte>(wave_buf).subspan(got, take);
-            auto read = view_.file->pread(dst, file_offset(c));
-            if (!read.ok()) {
-              st = read.status();
-            } else if (read.value() != take) {
-              st = Corrupt("short read in collective scatter");
+      (void)member.cursor.read(
+          wave, member.chunk_bytes,
+          [&](std::uint64_t offset, std::uint64_t got, std::uint64_t take) {
+            if (!st.ok()) return Status::Ok();
+            if (skip) {
+              st = view_.file->pread_discard(take, offset);
+            } else {
+              st = core::read_recorded(
+                  *view_.file,
+                  m == 0 ? own_out.subspan(out_pos + got, take)
+                         : std::span<std::byte>(wave_buf).subspan(got, take),
+                  offset);
             }
-          }
-        }
-        c.pos += take;
-        got += take;
-      }
+            return Status::Ok();
+          });
       if (m != 0) {
         if (skip) {
           // Timing-only restore: charge the scatter link time and hand the
@@ -508,7 +475,6 @@ Result<std::uint64_t> Collective::read_impl(std::span<std::byte> out,
                                             bool skip, std::uint64_t want) {
   if (writable_) return FailedPrecondition("file opened for writing");
   if (closed_) return FailedPrecondition("file already closed");
-  const std::uint64_t deliver = std::min(want, bytes_remaining_total());
   const auto wants = group_->gather_u64(want, 0);
   Status st;
   if (is_collector()) {
@@ -516,20 +482,9 @@ Result<std::uint64_t> Collective::read_impl(std::span<std::byte> out,
   } else {
     st = read_as_member(out, skip, want);
   }
-  // Members advance their logical cursor in lockstep with the collector's
-  // walk of the same chunk_bytes book.
-  std::uint64_t done = 0;
-  while (done < deliver) {
-    const std::uint64_t avail = view_.chunk_bytes[self_.block] - self_.pos;
-    if (avail == 0) {
-      ++self_.block;
-      self_.pos = 0;
-      continue;
-    }
-    const std::uint64_t take = std::min(deliver - done, avail);
-    self_.pos += take;
-    done += take;
-  }
+  // Every task moves its own cursor over what the collector delivered.
+  const std::uint64_t deliver =
+      self_.read(want, view_.chunk_bytes, core::no_io).value();
   SION_RETURN_IF_ERROR(agree(*group_, st));
   return deliver;
 }
@@ -574,7 +529,7 @@ std::uint64_t Collective::bytes_written_total() const {
 }
 
 std::uint64_t Collective::bytes_remaining_total() const {
-  return core::bytes_from(view_.chunk_bytes, self_.block, self_.pos);
+  return self_.remaining(view_.chunk_bytes);
 }
 
 Status write_multifile(fs::FileSystem& fs, par::Comm& gcom,

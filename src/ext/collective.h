@@ -127,26 +127,10 @@ class Collective {
   [[nodiscard]] std::uint64_t bytes_remaining_total() const;
 
  private:
-  // Per-member chunk-walk state; offsets are absolute in the physical file.
-  struct Cursor {
-    std::uint64_t chunk_start0 = 0;  // this rank's chunk offset in block 0
-    std::uint64_t capacity = 0;      // aligned chunk capacity
-    std::uint64_t block = 0;
-    std::uint64_t pos = 0;
-  };
-
   Collective(par::Comm& gcom, core::FilePlacement place, bool writable,
              const CollectiveConfig& config);
 
   void adopt(core::ChunkView view);
-
-  [[nodiscard]] std::uint64_t file_offset(const Cursor& c) const {
-    return c.chunk_start0 + c.block * view_.block_span + c.pos;
-  }
-
-  // Advance the logical write cursor by `n` payload bytes, growing
-  // view_.chunk_bytes; members mirror exactly what the collector writes.
-  void record_written(std::uint64_t n);
 
   Status write_as_collector(fs::DataView own,
                             const std::vector<std::uint64_t>& sizes);
@@ -168,13 +152,16 @@ class Collective {
   // chunk_bytes: payload bytes per own chunk so far (write mode) or as
   // recorded in metablock 2 (read mode).
   core::ChunkView view_;
-  Cursor self_;
+  core::ChunkCursor self_;
 
-  // Collector only: member geometry and read-side chunk usage (one flat
-  // gather, sliced per group rank). Entry 0 mirrors self_ (both cursors
-  // advance identically).
-  std::vector<Cursor> members_;
-  par::Comm::FlatGatherU64 member_chunk_bytes_;
+  // Collector only: every group rank's chunk walk and chunk usage, as the
+  // collector moves its bytes. Entry 0 mirrors self_ and view_.chunk_bytes
+  // (both advance identically).
+  struct Member {
+    core::ChunkCursor cursor;
+    std::vector<std::uint64_t> chunk_bytes;
+  };
+  std::vector<Member> members_;
 };
 
 // One whole multifile in one collective call: every rank writes `payload`
