@@ -47,7 +47,6 @@ Point run_point(const fs::SimConfig& machine, int ntasks, int domains,
   if (group_size > 0) {
     ext::CollectiveConfig aggregation;
     aggregation.group_size = group_size;
-    aggregation.alignment = ext::CollectiveConfig::Alignment::kPacked;
     spec.collective = aggregation;
   }
 

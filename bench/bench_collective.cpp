@@ -47,7 +47,6 @@ Point run_point(const fs::SimConfig& machine, int ntasks,
   if (collective) {
     ext::CollectiveConfig aggregation;
     aggregation.group_size = group_size;
-    aggregation.alignment = ext::CollectiveConfig::Alignment::kPacked;
     aggregation.packing_granule = 4 * kKiB;
     spec.collective = aggregation;
   }

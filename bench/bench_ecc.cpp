@@ -63,7 +63,6 @@ Point run_ecc_point(const fs::SimConfig& machine, int ntasks, int nreaders,
   if (group_size > 0) {
     ext::CollectiveConfig aggregation;
     aggregation.group_size = group_size;
-    aggregation.alignment = ext::CollectiveConfig::Alignment::kPacked;
     spec.collective = aggregation;
   }
 
@@ -119,7 +118,6 @@ Point run_buddy_point(const fs::SimConfig& machine, int ntasks, int nreaders,
   if (group_size > 0) {
     ext::CollectiveConfig aggregation;
     aggregation.group_size = group_size;
-    aggregation.alignment = ext::CollectiveConfig::Alignment::kPacked;
     spec.collective = aggregation;
   }
 

@@ -36,7 +36,6 @@ Point run_point(const fs::SimConfig& machine, int nwriters, int nreaders,
   if (collective) {
     ext::CollectiveConfig aggregation;
     aggregation.group_size = 16;
-    aggregation.alignment = ext::CollectiveConfig::Alignment::kPacked;
     spec.collective = aggregation;
   }
 

@@ -205,7 +205,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
   pspec.mapping = core::Mapping::kContiguous;
   pspec.custom_file_of_rank.clear();
   const CollectiveConfig* aggregation =
-      config.collective ? &config.collective_config : nullptr;
+      config.collective ? &*config.collective : nullptr;
   SION_RETURN_IF_ERROR(
       write_multifile(fs, gcom, pspec, aggregation, payload));
 

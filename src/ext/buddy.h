@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -60,11 +61,10 @@ struct BuddyConfig {
   // from ParOpenSpec::nfiles. The writer task count must be divisible by D.
   int num_domains = 0;
 
-  // Route the primary and every replica set through ext::Collective
-  // (coalesced collector writes) instead of per-task writes plus the
-  // group-to-group mirror ship.
-  bool collective = false;
-  CollectiveConfig collective_config;
+  // When set, the primary and every replica set go through
+  // ext::Collective (coalesced collector writes) instead of per-task writes
+  // plus the group-to-group mirror ship.
+  std::optional<CollectiveConfig> collective;
 };
 
 // Outcome of a probe-and-heal pass (assertable from tests and benches).

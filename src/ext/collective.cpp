@@ -176,12 +176,8 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   // the client_open_service token model).
   core::CreateSpec create;
   create.fsblksize = spec.fsblksize;
-  if (config.alignment != CollectiveConfig::Alignment::kFsBlock) {
-    create.granule = config.packing_granule;
-  }
-  if (config.alignment == CollectiveConfig::Alignment::kPacked) {
-    create.pad_group = out->group_->size();
-  }
+  create.granule = config.packing_granule;
+  create.pad_group = out->group_->size();
   create.chunksize = spec.chunksize;
   create.scatter_chunksizes = true;
   create.open_handle = out->is_collector();
@@ -233,15 +229,7 @@ Collective::Collective(par::Comm& gcom, core::FilePlacement place,
       place_(std::move(place)),
       writable_(writable),
       buffer_bytes_(std::max<std::uint64_t>(1, config.buffer_bytes)) {
-  const int lsize = place_.lcom->size();
-  int group_size = config.group_size;
-  if (group_size <= 0) {
-    group_size = static_cast<int>(
-        ceil_div(static_cast<std::uint64_t>(lsize),
-                 static_cast<std::uint64_t>(
-                     std::max(1, config.collectors_per_file))));
-  }
-  group_ = place_.lcom->split_groups(group_size);
+  group_ = place_.lcom->split_groups(config.group_size);
   SION_CHECK(group_ != nullptr) << "split_groups returned no communicator";
 }
 

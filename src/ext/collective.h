@@ -14,12 +14,12 @@
 //
 // The on-disk format is the ordinary SION multifile: one logical chunk per
 // member rank, so a file written collectively reads back per-rank through
-// core::SionParFile::open_read (and vice versa). With Alignment::kPacked
-// the chunks of a group are packed at `packing_granule` instead of one
-// file-system block each — safe because a group has exactly one writer —
-// and only group boundaries are padded to the real file-system block, which
-// removes the "at least one file-system block per task" floor the paper
-// calls out for small task payloads.
+// core::SionParFile::open_read (and vice versa). The chunks of a group are
+// packed at `packing_granule` instead of one file-system block each — safe
+// because a group has exactly one writer — and only group boundaries are
+// padded to the real file-system block, which removes the "at least one
+// file-system block per task" floor the paper calls out for small task
+// payloads.
 //
 // Collective calls (open/write/read/read_skip/close) must be made by every
 // rank of the communicator, in the same order, like every SIONlib
@@ -42,34 +42,20 @@
 namespace sion::ext {
 
 struct CollectiveConfig {
-  // Member ranks per collector (the collector itself included). 0 derives
-  // the group size from collectors_per_file instead.
+  // Member ranks per collector (the collector itself included); 0 gives
+  // every physical file one collector.
   int group_size = 0;
-
-  // Used when group_size == 0: how many collector ranks each physical file
-  // of the multifile set gets (SIONlib's "collectors per file" knob).
-  int collectors_per_file = 1;
 
   // Cap on the collector-side aggregation buffer; payloads are shipped and
   // flushed in waves of at most this many bytes, so host memory stays
   // bounded regardless of payload size.
   std::uint64_t buffer_bytes = 4 * kMiB;
 
-  enum class Alignment : std::uint8_t {
-    // Classic SION alignment: every chunk padded to the real file-system
-    // block. No packing win, but collectors still cut opens and op counts.
-    kFsBlock,
-    // Pack member chunks at packing_granule and pad each group's end to the
-    // real file-system block, so different collectors never share a block.
-    kPacked,
-    // Pack with no group padding: adjacent collectors may share blocks
-    // (exhibits Table-1-style lock ping-pong; for ablations).
-    kNone,
-  };
-  Alignment alignment = Alignment::kPacked;
-
-  // Chunk packing granule for kPacked/kNone (power of two). Clamped to the
-  // real file-system block size.
+  // Member chunks pack at this granule (a power of two, clamped to the real
+  // file-system block) and each group's end is padded to the real block, so
+  // different collectors never share a block. 0 is classic SION alignment:
+  // every chunk padded to the real file-system block — no packing win, but
+  // collectors still cut opens and op counts.
   std::uint64_t packing_granule = 4 * kKiB;
 };
 

@@ -481,7 +481,7 @@ Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
   pspec.mapping = core::Mapping::kContiguous;
   pspec.custom_file_of_rank.clear();
   SION_RETURN_IF_ERROR(write_multifile(
-      fs, gcom, pspec, cfg.collective ? &cfg.collective_config : nullptr,
+      fs, gcom, pspec, cfg.collective ? &*cfg.collective : nullptr,
       payload));
 
   return encode_parity(fs, gcom, spec.filename, cfg);

@@ -78,11 +78,10 @@ struct EccConfig {
   // across the primary's alignment gaps.
   std::uint64_t stripe_bytes = 256 * kKiB;
 
-  // Route the primary multifile through ext::Collective (coalesced
-  // collector writes). Parity encoding is unaffected: it reads back the
-  // physical bytes whoever wrote them.
-  bool collective = false;
-  CollectiveConfig collective_config;
+  // When set, the primary multifile goes through ext::Collective
+  // (coalesced collector writes). Parity encoding is unaffected: it reads
+  // back the physical bytes whoever wrote them.
+  std::optional<CollectiveConfig> collective;
 
   // What restore() does when the probe finds damage: decode lost files on
   // the fly during the restart's own reads (kDegraded, the default), or

@@ -26,10 +26,7 @@ std::uint64_t sion_chunksize(fs::DataView payload) {
 // sets, so a set spec-level aggregation sub-spec folds into its config.
 ext::BuddyConfig buddy_config_of(const CheckpointSpec& spec) {
   ext::BuddyConfig config = *spec.buddy_protection();
-  if (spec.collective.has_value()) {
-    config.collective = true;
-    config.collective_config = *spec.collective;
-  }
+  if (spec.collective) config.collective = spec.collective;
   if (config.num_domains <= 0) config.num_domains = std::max(1, spec.nfiles);
   return config;
 }
@@ -39,10 +36,7 @@ ext::BuddyConfig buddy_config_of(const CheckpointSpec& spec) {
 // unaffected (it reads back physical bytes).
 ext::EccConfig ecc_config_of(const CheckpointSpec& spec) {
   ext::EccConfig config = *spec.ecc_protection();
-  if (spec.collective.has_value()) {
-    config.collective = true;
-    config.collective_config = *spec.collective;
-  }
+  if (spec.collective) config.collective = spec.collective;
   if (config.data_domains <= 0) config.data_domains = std::max(1, spec.nfiles);
   return config;
 }

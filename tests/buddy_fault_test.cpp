@@ -66,7 +66,6 @@ class BuddyFaultTest : public ::testing::TestWithParam<bool> {
     spec.protection = buddy;
     if (GetParam()) {
       CollectiveConfig aggregation;
-      aggregation.alignment = CollectiveConfig::Alignment::kPacked;
       aggregation.group_size = 8;
       spec.collective = aggregation;
     }
@@ -221,8 +220,7 @@ TEST_P(BuddyFaultTest, MultiBlockStreamsSurviveDomainLoss) {
   BuddyConfig config;
   config.replicas = 2;
   config.num_domains = kDomains;
-  config.collective = GetParam();
-  config.collective_config.group_size = 4;
+  if (GetParam()) config.collective = CollectiveConfig{.group_size = 4};
   par::Engine engine;
   engine.run(kWriters, [&](par::Comm& world) {
     core::ParOpenSpec spec;
@@ -417,10 +415,7 @@ TEST_P(BuddyFaultTest, OneTaskWithNonPowerOfTwoBlockSizeFailsEveryTask) {
     BuddyConfig config;
     config.replicas = 2;
     config.num_domains = 2;
-    if (GetParam()) {
-      config.collective = true;
-      config.collective_config.group_size = 2;
-    }
+    if (GetParam()) config.collective = CollectiveConfig{.group_size = 2};
     const Status st = Buddy::write(fs_, world, spec, config,
                                    DataView::fill(std::byte{1}, 512));
     ASSERT_FALSE(st.ok()) << "rank " << world.rank();

@@ -1,8 +1,8 @@
 // ext::Collective — write aggregation through collector ranks. The key
 // contracts: byte-exact round trips (including across the plain per-task
 // API, since the on-disk format is an ordinary SION multifile), collector-
-// only file-system traffic, and dense chunk packing under
-// Alignment::kPacked.
+// only file-system traffic, and dense chunk packing at the packing
+// granule.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -38,7 +38,6 @@ TEST(CollectiveTest, RoundTripPackedSmallChunks) {
   par::Engine engine;
   CollectiveConfig cfg;
   cfg.group_size = 4;
-  cfg.alignment = CollectiveConfig::Alignment::kPacked;
   cfg.packing_granule = 4 * kKiB;
   const int n = 16;
 
@@ -236,7 +235,6 @@ TEST(CollectiveTest, PackedAlignmentPacksChunksAtGranule) {
   par::Engine engine;
   CollectiveConfig cfg;
   cfg.group_size = 4;
-  cfg.alignment = CollectiveConfig::Alignment::kPacked;
   cfg.packing_granule = 4 * kKiB;
   const int n = 8;
 
@@ -276,7 +274,6 @@ TEST(CollectiveTest, PackedGroupsEndOnFsBlocksInAWideFile) {
   par::Engine engine;
   CollectiveConfig cfg;
   cfg.group_size = 4;
-  cfg.alignment = CollectiveConfig::Alignment::kPacked;
   cfg.packing_granule = 4 * kKiB;
   const int n = 300;
 

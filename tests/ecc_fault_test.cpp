@@ -73,7 +73,6 @@ class EccFaultTest : public ::testing::TestWithParam<bool> {
     spec.protection = ecc;
     if (GetParam()) {
       CollectiveConfig aggregation;
-      aggregation.alignment = CollectiveConfig::Alignment::kPacked;
       aggregation.group_size = 8;
       spec.collective = aggregation;
     }
@@ -262,8 +261,7 @@ TEST_P(EccFaultTest, MultiBlockStreamsSurviveDomainLossDegraded) {
   EccConfig config;
   config.data_domains = k;
   config.parity_domains = 1;
-  config.collective = GetParam();
-  config.collective_config.group_size = 4;
+  if (GetParam()) config.collective = CollectiveConfig{.group_size = 4};
   par::Engine engine;
   engine.run(kWriters, [&](par::Comm& world) {
     core::ParOpenSpec spec;

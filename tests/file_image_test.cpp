@@ -407,7 +407,7 @@ TEST_F(FileImageTest, CollectivePackedAtFsBlock) {
   ext::CollectiveConfig config;
   config.group_size = 3;
   config.buffer_bytes = 1000;
-  config.alignment = ext::CollectiveConfig::Alignment::kFsBlock;
+  config.packing_granule = 0;
   const std::string got =
       collective_record(rig_, "coll_block.sion", config);
   EXPECT_EQ(got, kGolden) << "observed:\n" << got;

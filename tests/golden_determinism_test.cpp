@@ -400,8 +400,7 @@ TEST(GoldenDeterminismTest, BuddyProtectedCheckpointTestbed) {
     ext::BuddyConfig config;
     config.replicas = 3;
     config.num_domains = 4;
-    config.collective = collective;
-    config.collective_config.group_size = 2;
+    if (collective) config.collective = ext::CollectiveConfig{.group_size = 2};
     t_write[collective] = makespan(engine, n_writers, [&](par::Comm& world) {
       core::ParOpenSpec spec;
       spec.filename = name;

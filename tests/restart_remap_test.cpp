@@ -58,7 +58,6 @@ class RestartRemapTest : public ::testing::TestWithParam<bool> {
     spec.path = path;
     if (GetParam()) {
       ext::CollectiveConfig aggregation;
-      aggregation.alignment = ext::CollectiveConfig::Alignment::kPacked;
       aggregation.group_size = 8;
       spec.collective = aggregation;
     }

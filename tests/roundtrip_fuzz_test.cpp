@@ -85,20 +85,14 @@ Schedule random_schedule(Rng& rng) {
     case 1: s.writer = Writer::kPar; break;
     default: s.writer = Writer::kCollective; break;
   }
-  s.collective.group_size = static_cast<int>(rng.next_below(5));  // 0 derives
+  // 0 = one collector per file.
+  s.collective.group_size = static_cast<int>(rng.next_below(5));
   s.collective.buffer_bytes = 1 + rng.next_below(16 * kKiB);
-  switch (rng.next_below(3)) {
-    case 0:
-      s.collective.alignment = ext::CollectiveConfig::Alignment::kFsBlock;
-      break;
-    case 1:
-      s.collective.alignment = ext::CollectiveConfig::Alignment::kPacked;
-      break;
-    default:
-      s.collective.alignment = ext::CollectiveConfig::Alignment::kNone;
-      break;
-  }
-  s.collective.packing_granule = 512ULL << rng.next_below(4);
+  // One draw in three is classic alignment (granule 0); the others pack at
+  // the drawn granule.
+  const bool classic = rng.next_below(3) == 0;
+  const std::uint64_t granule = 512ULL << rng.next_below(4);
+  s.collective.packing_granule = classic ? 0 : granule;
   for (int r = 0; r < s.ntasks; ++r) {
     s.chunksizes.push_back(64 + rng.next_below(4 * kKiB));
     // Volumes from empty through several blocks of the rank's chunk size.
@@ -213,8 +207,7 @@ void write_schedule(fs::SimFs& fs, par::Engine& engine, const Schedule& s,
       ext::BuddyConfig config;
       config.replicas = s.buddy_replicas;
       config.num_domains = s.buddy_domains;
-      config.collective = s.writer == Writer::kCollective;
-      config.collective_config = s.collective;
+      if (s.writer == Writer::kCollective) config.collective = s.collective;
       ASSERT_TRUE(ext::Buddy::write(fs, world, spec, config, payload).ok());
       return;
     }
@@ -223,8 +216,7 @@ void write_schedule(fs::SimFs& fs, par::Engine& engine, const Schedule& s,
       config.data_domains = s.ecc_k;
       config.parity_domains = s.ecc_m;
       config.stripe_bytes = s.ecc_stripe;
-      config.collective = s.writer == Writer::kCollective;
-      config.collective_config = s.collective;
+      if (s.writer == Writer::kCollective) config.collective = s.collective;
       ASSERT_TRUE(ext::Ecc::write(fs, world, spec, config, payload).ok());
       return;
     }
