@@ -295,10 +295,7 @@ Result<BuddyHealReport> Buddy::heal(fs::FileSystem& fs, par::Comm& mcom,
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kBuddyFailed));
-  const std::uint64_t plan_size = mcom.bcast_u64(plan.size(), 0);
-  plan.resize(plan_size);
-  mcom.bcast_bytes(plan, 0);
+  SION_RETURN_IF_ERROR(par::share_data(mcom, st, plan, 0, kBuddyFailed));
 
   BuddyHealReport report;
   report.domains = ndomains;

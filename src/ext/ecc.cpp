@@ -535,10 +535,7 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status(comm, st, 0, kEccFailed));
-  const std::uint64_t plan_size = comm.bcast_u64(plan.size(), 0);
-  plan.resize(plan_size);
-  comm.bcast_bytes(plan, 0);
+  SION_RETURN_IF_ERROR(par::share_data(comm, st, plan, 0, kEccFailed));
   ByteReader r(plan);
   SION_ASSIGN_OR_RETURN(const std::uint64_t data_start, r.get_u64());
   SION_ASSIGN_OR_RETURN(const std::uint64_t payload_bytes, r.get_u64());
@@ -682,6 +679,29 @@ Result<EccProbe> Ecc::probe(fs::FileSystem& fs, const std::string& name,
   return p;
 }
 
+namespace {
+
+// Rank 0 of `mcom` probes once; the shared result drives every task's
+// branch and decode identically (no per-task re-probing).
+Result<EccProbe> shared_probe(fs::FileSystem& fs, par::Comm& mcom,
+                              const std::string& name,
+                              const EccConfig& config) {
+  Status st;
+  std::vector<std::byte> blob;
+  if (mcom.rank() == 0) {
+    auto probed = Ecc::probe(fs, name, config);
+    if (probed.ok()) {
+      blob = probed.value().serialize();
+    } else {
+      st = probed.status();
+    }
+  }
+  SION_RETURN_IF_ERROR(par::share_data(mcom, st, blob, 0, kEccFailed));
+  return EccProbe::deserialize(blob);
+}
+
+}  // namespace
+
 Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
                                 const std::string& name,
                                 const EccConfig& config,
@@ -689,23 +709,7 @@ Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
   const int me = mcom.rank();
   const int msize = mcom.size();
 
-  // Rank 0 probes once; the broadcast result drives every task's decode
-  // deterministically (no per-task re-probing).
-  Status st;
-  std::vector<std::byte> blob;
-  if (me == 0) {
-    auto probed = probe(fs, name, config);
-    if (probed.ok()) {
-      blob = probed.value().serialize();
-    } else {
-      st = probed.status();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kEccFailed));
-  const std::uint64_t blob_size = mcom.bcast_u64(blob.size(), 0);
-  blob.resize(blob_size);
-  mcom.bcast_bytes(blob, 0);
-  SION_ASSIGN_OR_RETURN(const EccProbe p, EccProbe::deserialize(blob));
+  SION_ASSIGN_OR_RETURN(const EccProbe p, shared_probe(fs, mcom, name, config));
 
   EccHealReport report;
   report.data_files = p.k;
@@ -719,7 +723,7 @@ Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
   }
   std::uint64_t my_bytes = 0;
   std::uint64_t my_healed = 0;
-  st = Status::Ok();
+  Status st;
   if (!lost_data.empty()) {
     std::vector<int> survivor_ids;
     std::vector<std::vector<std::uint8_t>> rows;
@@ -768,22 +772,7 @@ Result<RemapStats> Ecc::restore(fs::FileSystem& fs, par::Comm& mcom,
                                 const EccConfig& config,
                                 std::span<std::byte> out, std::uint64_t want,
                                 const RemapConfig& remap_config) {
-  // One probe, broadcast, drives the branch on every task identically.
-  Status st;
-  std::vector<std::byte> blob;
-  if (mcom.rank() == 0) {
-    auto probed = probe(fs, name, config);
-    if (probed.ok()) {
-      blob = probed.value().serialize();
-    } else {
-      st = probed.status();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kEccFailed));
-  const std::uint64_t blob_size = mcom.bcast_u64(blob.size(), 0);
-  blob.resize(blob_size);
-  mcom.bcast_bytes(blob, 0);
-  SION_ASSIGN_OR_RETURN(const EccProbe p, EccProbe::deserialize(blob));
+  SION_ASSIGN_OR_RETURN(const EccProbe p, shared_probe(fs, mcom, name, config));
 
   const auto remap_restore = [&](fs::FileSystem& through)
       -> Result<RemapStats> {

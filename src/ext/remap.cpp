@@ -91,12 +91,9 @@ Result<std::unique_ptr<Remap>> Remap::open(fs::FileSystem& fs, par::Comm& mcom,
       }
     }
   }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kRemapFailed));
-  const std::uint64_t nwriters = mcom.bcast_u64(sizes.size(), 0);
-  sizes.resize(nwriters, 0);
-  mcom.bcast_bytes(std::as_writable_bytes(std::span<std::uint64_t>(sizes)), 0);
+  SION_RETURN_IF_ERROR(par::share_data(mcom, st, sizes, 0, kRemapFailed));
 
-  out->nwriters_ = static_cast<int>(nwriters);
+  out->nwriters_ = static_cast<int>(sizes.size());
   out->stream_bytes_ = std::move(sizes);
   out->stream_offset_.reserve(out->stream_bytes_.size());
   for (const std::uint64_t s : out->stream_bytes_) {

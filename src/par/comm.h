@@ -311,6 +311,19 @@ class Comm {
 Status share_status(Comm& comm, const Status& mine, int root,
                     const char* what);
 
+// share_status, then — when the root's status is Ok — the root's `data` in
+// every task's `data`: the element count and the elements, broadcast in two
+// more collectives. The root's plan or probe result reaches every task this
+// way.
+template <typename T>
+Status share_data(Comm& comm, const Status& mine, std::vector<T>& data,
+                  int root, const char* what) {
+  SION_RETURN_IF_ERROR(share_status(comm, mine, root, what));
+  data.resize(comm.bcast_u64(data.size(), root));
+  comm.bcast_bytes(std::as_writable_bytes(std::span<T>(data)), root);
+  return Status::Ok();
+}
+
 // Agree on the outcome across `comm` (allreduce-max of failure): any task's
 // error fails every task. Tasks that were locally fine report
 // Internal(`what`).
