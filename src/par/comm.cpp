@@ -57,7 +57,23 @@ int Comm::rank() const {
   return static_cast<int>(it - granks_.begin());
 }
 
-bool Comm::arrive(void* slot, int my_rank) {
+const char* Comm::kind_name(Kind kind) {
+  switch (kind) {
+    case Kind::kBarrier: return "barrier";
+    case Kind::kBcast: return "bcast";
+    case Kind::kGather: return "gather";
+    case Kind::kGatherv: return "gatherv";
+    case Kind::kScatter: return "scatter";
+    case Kind::kAllgather: return "allgather";
+    case Kind::kAllreduce: return "allreduce";
+    case Kind::kScatterv: return "scatterv";
+    case Kind::kSplit: return "split";
+    case Kind::kExchange: return "exchange";
+  }
+  return "?";
+}
+
+bool Comm::arrive(Kind kind, void* slot, int my_rank) {
   TaskState& task = calling_task();
   const std::uint64_t opidx = next_op_[static_cast<std::size_t>(my_rank)]++;
 
@@ -73,6 +89,7 @@ bool Comm::arrive(void* slot, int my_rank) {
     // not cleared between ops: every member overwrites its own entry before
     // the last arrival runs finalize.
     site_op_ = opidx;
+    site_kind_ = kind;
     site_tmax_ = task.now();
     if (site_slots_.size() != members_.size()) {
       site_slots_.assign(members_.size(), nullptr);
@@ -80,6 +97,10 @@ bool Comm::arrive(void* slot, int my_rank) {
   } else {
     SION_CHECK(site_op_ == opidx)
         << "collective operation order mismatch on comm rank " << my_rank;
+    SION_CHECK(site_kind_ == kind)
+        << "collective kind mismatch on comm rank " << my_rank << ": it "
+        << "entered " << kind_name(kind) << " while the others are in "
+        << kind_name(site_kind_);
     if (task.now() > site_tmax_) site_tmax_ = task.now();
   }
   site_slots_[static_cast<std::size_t>(my_rank)] = slot;
@@ -111,9 +132,9 @@ void Comm::release_all(int my_rank, double release) {
 }
 
 template <typename F>
-void Comm::rendezvous(void* slot, F&& finalize) {
+void Comm::rendezvous(void* slot, F&& finalize, Kind kind) {
   const int my_rank = rank();
-  if (!arrive(slot, my_rank)) return;
+  if (!arrive(kind, slot, my_rank)) return;
   release_all(my_rank, finalize(site_slots_, site_tmax_));
 }
 
@@ -121,7 +142,7 @@ void Comm::barrier() {
   const double cost = net_.sync_cost(size());
   rendezvous(nullptr, [cost](std::vector<void*>&, double tmax) {
     return tmax + cost;
-  });
+  }, Kind::kBarrier);
 }
 
 void Comm::bcast_bytes(std::span<std::byte> buf, int root) {
@@ -143,7 +164,7 @@ void Comm::bcast_bytes(std::span<std::byte> buf, int root) {
       std::memcpy(dst.buf.data(), src.buf.data(), src.buf.size());
     }
     return tmax + net.bcast_cost(nranks, src.buf.size());
-  });
+  }, Kind::kBcast);
 }
 
 std::uint64_t Comm::bcast_u64(std::uint64_t value, int root) {
@@ -172,7 +193,7 @@ std::vector<std::uint64_t> Comm::gather_u64(std::uint64_t value, int root) {
     }
     return tmax + net.rooted_cost(nranks,
                                   8ULL * static_cast<std::uint64_t>(nranks));
-  });
+  }, Kind::kGather);
   return result;
 }
 
@@ -210,7 +231,7 @@ Comm::FlatGatherU64 Comm::gatherv_u64_flat(
                         out.offsets[static_cast<std::size_t>(i)]));
     }
     return tmax + net.rooted_cost(nranks, total);
-  });
+  }, Kind::kGatherv);
   return result;
 }
 
@@ -235,7 +256,7 @@ std::uint64_t Comm::scatter_u64(std::span<const std::uint64_t> values,
     }
     return tmax + net.rooted_cost(nranks,
                                   8ULL * static_cast<std::uint64_t>(nranks));
-  });
+  }, Kind::kScatter);
   return slot.out;
 }
 
@@ -260,7 +281,7 @@ std::vector<std::uint64_t> Comm::allgather_u64(std::uint64_t value) {
     // Gather up the tree plus broadcast down: twice the rooted volume.
     return tmax + net.rooted_cost(nranks,
                                   16ULL * static_cast<std::uint64_t>(nranks));
-  });
+  }, Kind::kAllgather);
   return result;
 }
 
@@ -288,7 +309,7 @@ std::uint64_t Comm::allreduce_u64(std::uint64_t value, ReduceOp op) {
       static_cast<Slot*>(slots[static_cast<std::size_t>(i)])->out = acc;
     }
     return tmax + net.sync_cost(nranks);
-  });
+  }, Kind::kAllreduce);
   return slot.out;
 }
 
@@ -322,7 +343,7 @@ std::vector<std::byte> Comm::scatterv_bytes_flat(
       total += n;
     }
     return tmax + net.rooted_cost(nranks, total);
-  });
+  }, Kind::kScatterv);
   return std::move(slot.out);
 }
 
@@ -384,7 +405,7 @@ Comm* Comm::split(int color, int key) {
       i = j;
     }
     return tmax + net.sync_cost(nranks);
-  });
+  }, Kind::kSplit);
   return slot.out;
 }
 
@@ -529,12 +550,15 @@ namespace {
 struct ExchangeSlot {
   Comm::Exchange* x;
   Comm* lcom;
+  std::span<const Comm::Step> steps;
   double arrival;
   int group;
+  int ngroups;
   int lrank;
   std::uint32_t code;        // this task's status code
   std::uint32_t shared = 0;  // out: lcom rank 0's code, when a vote failed
   bool failed = false;       // out: a vote failed
+  bool differs = false;      // out: the tasks passed different arguments
 };
 
 }  // namespace
@@ -544,13 +568,20 @@ Status Comm::exchange(Comm& lcom, int group, int ngroups,
                       const Status& mine, const char* what) {
   ExchangeSlot slot{&x,
                     &lcom,
+                    steps,
                     calling_task().now(),
                     group,
+                    ngroups,
                     lcom.rank(),
                     static_cast<std::uint32_t>(mine.code())};
   const int my_rank = rank();
-  if (arrive(&slot, my_rank)) {
+  if (arrive(Kind::kExchange, &slot, my_rank)) {
     calling_task().advance_to(finish_exchange(ngroups, steps, my_rank));
+  }
+  if (slot.differs) {
+    return InvalidArgument(
+        "tasks passed different arguments to one collective exchange (e.g. "
+        "a file-system block size on some tasks only)");
   }
   if (!slot.failed) return Status::Ok();
   if (slot.shared != 0) {
@@ -581,6 +612,21 @@ __attribute__((noinline)) double Comm::finish_exchange(
     }
   }
 
+  // Every task must bring the same steps, file count and words; otherwise
+  // nothing runs, and every task is released at the latest arrival.
+  bool differs = false;
+  for (std::size_t i = 0; i < n && !differs; ++i) {
+    const ExchangeSlot& s = slot_of(i);
+    differs = s.ngroups != ngroups || s.x->words.size() != nwords ||
+              !std::equal(s.steps.begin(), s.steps.end(), steps.begin(),
+                          steps.end());
+  }
+  if (differs) {
+    for (std::size_t i = 0; i < n; ++i) slot_of(i).differs = true;
+    release_all(my_rank, site_tmax_);
+    return site_tmax_;
+  }
+
   // Pass 1: the file groups, their clocks (latest arrival), their masters
   // and the masters' words. A group's slots come in lcom rank order.
   ExchangeScratch& xs = xs_;
@@ -595,8 +641,6 @@ __attribute__((noinline)) double Comm::finish_exchange(
     const ExchangeSlot& s = slot_of(i);
     SION_CHECK(s.group >= 0 && s.group < ngroups)
         << "exchange group " << s.group << " out of range";
-    SION_CHECK(s.x->words.size() == nwords)
-        << "exchange word count mismatch on comm rank " << i;
     const auto g = static_cast<std::size_t>(s.group);
     SION_CHECK(s.lrank == xs.count[g]++)
         << "exchange: lcom ranks must follow the comm's rank order";

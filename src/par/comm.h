@@ -200,6 +200,8 @@ class Comm {
   // Returns Ok unless a vote failed; then lcom rank 0 of a failed file gets
   // `mine`, its other tasks the master's code with `what` as message, and
   // every other task `mine` if it failed itself, else Internal(`what`).
+  // Tasks that pass different steps, `ngroups` or word counts (say, a block
+  // size given on some tasks only) all get InvalidArgument instead.
   Status exchange(Comm& lcom, int group, int ngroups,
                   std::span<const Step> steps, Exchange& x,
                   const Status& mine, const char* what);
@@ -207,24 +209,44 @@ class Comm {
  private:
   Comm(Engine& engine, std::vector<TaskState*> members, NetworkModel net);
 
+  // The collective a rendezvous runs. Each kind reads its own slot type, so
+  // the site checks that every member arrives for the same kind.
+  enum class Kind : std::uint8_t {
+    kBarrier,
+    kBcast,
+    kGather,
+    kGatherv,
+    kScatter,
+    kAllgather,
+    kAllreduce,
+    kScatterv,
+    kSplit,
+    kExchange,
+  };
+  static const char* kind_name(Kind kind);
+
   // Generic collective rendezvous: every member registers its `slot`; the
   // last arrival runs `finalize(slots, tmax)` (which performs the data
   // movement and returns the release time) and wakes everyone. At most one
   // collective is ever in flight per comm (members cannot reach op k+1
   // before op k released them), so the site is a single reusable arena.
   template <typename F>
-  void rendezvous(void* slot, F&& finalize);
+  void rendezvous(void* slot, F&& finalize, Kind kind);
 
   // The two halves of a rendezvous. arrive() registers `slot`; it returns
   // false once the task was blocked and then released by the last arrival,
   // and true on the last arrival, which must release everyone. site_tmax_
-  // then holds the latest arrival time.
-  bool arrive(void* slot, int my_rank);
+  // then holds the latest arrival time. A member that arrives for another
+  // kind than the first arrival's fails a CHECK naming both: its slot would
+  // be read as the wrong type.
+  bool arrive(Kind kind, void* slot, int my_rank);
   // Wakes every member but `my_rank` at `release`, then advances the
   // caller's clock to it.
   void release_all(int my_rank, double release);
   // exchange()'s finalize: performs and charges the steps, wakes each
-  // file's tasks at the file's release time, and returns the caller's.
+  // file's tasks at the file's release time, and returns the caller's. When
+  // the tasks passed different steps, group counts or word counts, nothing
+  // runs: every task is released at the latest arrival and fails.
   double finish_exchange(int ngroups, std::span<const Step> steps,
                          int my_rank);
 
@@ -275,6 +297,7 @@ class Comm {
 
   // The single reusable rendezvous site.
   std::uint64_t site_op_ = 0;
+  Kind site_kind_ = Kind::kBarrier;
   int site_arrived_ = 0;
   double site_tmax_ = 0.0;
   std::vector<void*> site_slots_;

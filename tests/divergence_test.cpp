@@ -14,6 +14,12 @@
 // task whose operation failed keeps its own error; the other tasks of its
 // file get the master's code when the master failed, and every other task
 // gets Internal.
+//
+// Tasks that disagree on an argument fail too: one task leaving the block
+// size to detection while the others pass one makes every task return
+// InvalidArgument. Through ext::Buddy the same mix sends the tasks into
+// collectives of different kinds, which the engine stops with a CHECK that
+// names both.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -23,6 +29,7 @@
 
 #include "common/units.h"
 #include "core/api.h"
+#include "ext/buddy.h"
 #include "ext/collective.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
@@ -300,6 +307,54 @@ TEST_F(DivergenceTest, MasterMetablock2WriteFails) {
                        std::to_string(file));
     }
   }
+}
+
+// The block size of the task of rank `odd` is left to detection (0); every
+// other task passes 4 KiB.
+std::uint64_t mixed_block_size(int rank, int odd) {
+  return rank == odd ? 0 : 4 * kKiB;
+}
+
+TEST_F(DivergenceTest, OneTaskLeavesTheBlockSizeToDetection) {
+  // A file master, a non-master, and the last task.
+  for (const int odd : {kPerFile, kPerFile + 1, kTasks - 1}) {
+    for (const bool collective : {false, true}) {
+      std::vector<Status> got(kTasks);
+      engine_.run(kTasks, [&](par::Comm& world) {
+        core::ParOpenSpec spec = write_spec();
+        spec.fsblksize = mixed_block_size(world.rank(), odd);
+        got[static_cast<std::size_t>(world.rank())] =
+            collective ? status_of(ext::Collective::open_write(
+                             fs_, world, spec, collective_config()))
+                       : status_of(core::SionParFile::open_write(fs_, world,
+                                                                 spec));
+      });
+      for (int r = 0; r < kTasks; ++r) {
+        EXPECT_EQ(got[static_cast<std::size_t>(r)].code(),
+                  ErrorCode::kInvalidArgument)
+            << (collective ? "Collective" : "SionParFile") << ", task " << odd
+            << " detects, rank " << r << " got "
+            << got[static_cast<std::size_t>(r)].to_string();
+      }
+    }
+  }
+}
+
+TEST_F(DivergenceTest, BuddyWithOneTaskDetectingAbortsNamingBothCollectives) {
+  // Only the detecting task enters the block-size exchange; the others go
+  // on to split the communicator for the primary multifile.
+  EXPECT_DEATH(
+      {
+        ext::BuddyConfig config;
+        config.replicas = 2;
+        engine_.run(kTasks, [&](par::Comm& world) {
+          core::ParOpenSpec spec = write_spec();
+          spec.fsblksize = mixed_block_size(world.rank(), 1);
+          (void)ext::Buddy::write(fs_, world, spec, config,
+                                  fs::DataView::fill(std::byte{7}, kKiB));
+        });
+      },
+      "collective kind mismatch .*(exchange.*split|split.*exchange)");
 }
 
 }  // namespace

@@ -647,6 +647,62 @@ TEST(ExchangeTest, CountsOneRendezvousForTheWholeChain) {
   EXPECT_EQ(engine.rendezvous_slots(), 8u + 8u);  // the split, the exchange
 }
 
+TEST(ExchangeTest, DifferentStepsFailEveryTaskWithoutRunningAny) {
+  // Rank 2 skips the leading vote and broadcast (as a task that was given a
+  // block size does while the others detect it): the steps and the word
+  // counts differ, so nothing runs and every task gets InvalidArgument.
+  Engine engine;
+  std::vector<ErrorCode> codes(6);
+  std::vector<std::uint64_t> words_after(6);
+  engine.run(6, [&](Comm& world) {
+    const int r = world.rank();
+    Comm* half = world.split(r / 3, r);
+    ASSERT_NE(half, nullptr);
+    static constexpr Comm::Step kSteps[] = {
+        Comm::Step::kVote, Comm::Step::kBcast, Comm::Step::kGather};
+    std::uint64_t words[2] = {100u + static_cast<unsigned>(r),
+                              static_cast<std::uint64_t>(r)};
+    std::vector<std::uint64_t> gathered;
+    Comm::Exchange x;
+    x.gathered = &gathered;
+    const bool odd_one = r == 2;
+    x.words = std::span(words).subspan(odd_one ? 1 : 0);
+    const Status st = world.exchange(
+        *half, r / 3, 2, std::span(kSteps).subspan(odd_one ? 2 : 0), x,
+        Status::Ok(), "x");
+    codes[static_cast<std::size_t>(r)] = st.code();
+    words_after[static_cast<std::size_t>(r)] = words[0];
+    world.barrier();  // the engine still runs: no task is stuck
+  });
+  for (int r = 0; r < 6; ++r) {
+    EXPECT_EQ(codes[static_cast<std::size_t>(r)], ErrorCode::kInvalidArgument)
+        << "rank " << r;
+    // No broadcast ran.
+    EXPECT_EQ(words_after[static_cast<std::size_t>(r)],
+              100u + static_cast<unsigned>(r));
+  }
+}
+
+TEST(CollectiveKindTest, DifferentKindsAtOneRendezvousAbortNamingBoth) {
+  // Rank 0 enters an exchange where the others enter a split: each kind
+  // reads its own slot type, so the site stops the run with a CHECK that
+  // names both instead of reading one task's slot as the other's.
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        engine.run(4, [&](Comm& world) {
+          if (world.rank() == 0) {
+            static constexpr Comm::Step kSteps[] = {Comm::Step::kSync};
+            Comm::Exchange x;
+            (void)world.exchange(world, 0, 1, kSteps, x, Status::Ok(), "x");
+          } else {
+            (void)world.split(0, world.rank());
+          }
+        });
+      },
+      "collective kind mismatch .*(exchange.*split|split.*exchange)");
+}
+
 TEST(P2pTest, SendThenRecv) {
   Engine engine;
   engine.run(2, [&](Comm& world) {
