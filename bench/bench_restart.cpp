@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
 
   {
     // Remap must not care how the file was written: the same N->M restore
-    // over a plain multifile and a collectively written kPacked one.
+    // over a plain multifile and a collectively written, packed one.
     const int nwriters = scaled(1024, scale);
     const int nreaders = scaled(96, scale);
     const std::uint64_t chunk = 64 * kKiB;

@@ -75,9 +75,8 @@ struct ChunkCursor {
   // Moves to the same chunk slot in the next block. The full chunk's frame
   // is patched first; a chunk new to `chunk_bytes` is appended and gets a
   // fresh frame.
-  template <typename Frame = Status (*)(std::uint64_t, bool)>
-  Status next_chunk(std::vector<std::uint64_t>& chunk_bytes,
-                    Frame&& frame = no_frames) {
+  template <typename Frame>
+  Status next_chunk(std::vector<std::uint64_t>& chunk_bytes, Frame&& frame) {
     SION_RETURN_IF_ERROR(frame(block, false));
     ++block;
     pos = 0;

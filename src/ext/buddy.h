@@ -25,7 +25,7 @@
 // Copy traffic:
 //   * collective mode routes primary and replicas through ext::Collective —
 //     members ship payload views to their group's collector, which issues
-//     the large coalesced (optionally kPacked) writes;
+//     the large coalesced, packed writes;
 //   * plain mode mirrors payloads to the buddy domain over the
 //     par::Comm group-to-group rotation collectives: every rank ships its
 //     chunk descriptor and payload view to the rank S*k positions ahead,

@@ -23,8 +23,8 @@
 //      plus an alltoall-shaped redistribution — is modelled, not ignored.
 //
 // The file may have been written by SionParFile, SionSerialFile, or
-// ext::Collective with any alignment mode: the walk uses only the geometry
-// recorded in metablock 1 (kPacked packing never leaks into this path).
+// ext::Collective at any packing granule: the walk uses only the geometry
+// recorded in metablock 1 (packing never leaks into this path).
 #pragma once
 
 #include <cstdint>

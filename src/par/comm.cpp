@@ -612,23 +612,15 @@ __attribute__((noinline)) double Comm::finish_exchange(
     }
   }
 
-  // Every task must bring the same steps, file count and words; otherwise
-  // nothing runs, and every task is released at the latest arrival.
-  bool differs = false;
-  for (std::size_t i = 0; i < n && !differs; ++i) {
-    const ExchangeSlot& s = slot_of(i);
-    differs = s.ngroups != ngroups || s.x->words.size() != nwords ||
-              !std::equal(s.steps.begin(), s.steps.end(), steps.begin(),
-                          steps.end());
-  }
-  if (differs) {
-    for (std::size_t i = 0; i < n; ++i) slot_of(i).differs = true;
-    release_all(my_rank, site_tmax_);
-    return site_tmax_;
-  }
 
   // Pass 1: the file groups, their clocks (latest arrival), their masters
-  // and the masters' words. A group's slots come in lcom rank order.
+  // and the masters' words. A group's slots come in lcom rank order. Every
+  // task must bring the same steps, file count and words; otherwise
+  // nothing runs, and every task is released at the latest arrival.
+  const auto same_steps = [steps](std::span<const Step> other) {
+    return (other.data() == steps.data() && other.size() == steps.size()) ||
+           std::equal(other.begin(), other.end(), steps.begin(), steps.end());
+  };
   ExchangeScratch& xs = xs_;
   xs.lcom.assign(ng, nullptr);
   xs.root.assign(ng, nullptr);
@@ -639,6 +631,12 @@ __attribute__((noinline)) double Comm::finish_exchange(
   bool any_failed = false;
   for (std::size_t i = 0; i < n; ++i) {
     const ExchangeSlot& s = slot_of(i);
+    if (s.ngroups != ngroups || s.x->words.size() != nwords ||
+        !same_steps(s.steps)) {
+      for (std::size_t k = 0; k < n; ++k) slot_of(k).differs = true;
+      release_all(my_rank, site_tmax_);
+      return site_tmax_;
+    }
     SION_CHECK(s.group >= 0 && s.group < ngroups)
         << "exchange group " << s.group << " out of range";
     const auto g = static_cast<std::size_t>(s.group);

@@ -84,7 +84,7 @@ struct CheckpointSpec {
   // restart). Nonzero asserts the reading communicator has exactly that many
   // tasks; each task receives its contiguous slice of the concatenated
   // global stream, sized by its `expected_bytes`. Works regardless of how
-  // the file was written (plain, collective/kPacked, or serial), so it takes
+  // the file was written (plain, collective and packed, or serial), so it takes
   // precedence over `collective` when reading. 0 keeps the classic
   // same-task-count read path.
   int restart_ntasks = 0;
