@@ -135,7 +135,8 @@ struct ChunkCursor {
         pos = 0;
         continue;
       }
-      const std::uint64_t take = std::min(chunk_bytes[block] - pos, want - done);
+      const std::uint64_t take =
+          std::min(chunk_bytes[block] - pos, want - done);
       SION_RETURN_IF_ERROR(io(at(block, pos), done, take));
       pos += take;
       done += take;

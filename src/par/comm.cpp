@@ -58,19 +58,10 @@ int Comm::rank() const {
 }
 
 const char* Comm::kind_name(Kind kind) {
-  switch (kind) {
-    case Kind::kBarrier: return "barrier";
-    case Kind::kBcast: return "bcast";
-    case Kind::kGather: return "gather";
-    case Kind::kGatherv: return "gatherv";
-    case Kind::kScatter: return "scatter";
-    case Kind::kAllgather: return "allgather";
-    case Kind::kAllreduce: return "allreduce";
-    case Kind::kScatterv: return "scatterv";
-    case Kind::kSplit: return "split";
-    case Kind::kExchange: return "exchange";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "barrier",   "bcast",     "gather",   "gatherv", "scatter",
+      "allgather", "allreduce", "scatterv", "split",   "exchange"};
+  return kNames[static_cast<std::size_t>(kind)];
 }
 
 bool Comm::arrive(Kind kind, void* slot, int my_rank) {

@@ -259,7 +259,7 @@ TEST_F(FileImageTest, SionParFileWithFrames) {
   EXPECT_EQ(got, kGolden) << "observed:\n" << got;
 }
 
-// ---- core::SionSerialFile ----------------------------------------------------
+// ---- core::SionSerialFile ---------------------------------------------------
 
 // 5 logical files on 2 physical files. Rank 0 writes across chunk ends,
 // seeks back into its first chunk and overwrites part of it (inside the
@@ -352,7 +352,7 @@ TEST_F(FileImageTest, SionSerialFileWithFrames) {
   EXPECT_EQ(got, kGolden) << "observed:\n" << got;
 }
 
-// ---- ext::Collective ----------------------------------------------------------
+// ---- ext::Collective --------------------------------------------------------
 
 // 12 tasks on 2 files in groups of 3; a small aggregation buffer so the
 // waves split inside chunks. Two collective writes (real bytes, then a fill)
@@ -430,7 +430,7 @@ TEST_F(FileImageTest, CollectivePackedAtGranule) {
   EXPECT_EQ(got, kGolden) << "observed:\n" << got;
 }
 
-// ---- ext::Buddy, plain mode ----------------------------------------------------
+// ---- ext::Buddy, plain mode -------------------------------------------------
 
 // 8 tasks in 2 failure domains, 2 copies: the primary through SionParFile
 // and the replica set through the mirror writer, each stream spanning
