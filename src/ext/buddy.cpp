@@ -153,6 +153,12 @@ std::string Buddy::replica_name(const std::string& name, int k) {
 // write
 // ---------------------------------------------------------------------------
 
+Result<std::uint64_t> Buddy::agree_block_size(
+    fs::FileSystem& fs, par::Comm& gcom, const core::ParOpenSpec& spec) {
+  return core::agree_block_size(fs, gcom, spec.filename, spec.fsblksize,
+                                kBuddyFailed);
+}
+
 Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
                     const core::ParOpenSpec& spec, const BuddyConfig& config,
                     fs::DataView payload) {
@@ -194,8 +200,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
   // geometry alone, so the block size is pinned up front (the primary's
   // writers would otherwise detect it file by file).
   SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
-                        core::agree_block_size(fs, gcom, spec.filename,
-                                               spec.fsblksize, kBuddyFailed));
+                        agree_block_size(fs, gcom, spec));
 
   // Primary: the ordinary multifile, one physical file per failure domain
   // (contiguous equal blocks == the domain mapping when D divides gsize).

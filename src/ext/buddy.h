@@ -85,6 +85,15 @@ class Buddy {
                       const core::ParOpenSpec& spec, const BuddyConfig& config,
                       fs::DataView payload);
 
+  // The block-size agreement of write() (a collective over `gcom` unless
+  // spec.fsblksize is set). It is write()'s first collective except with
+  // replicas > 1 and no aggregation, where the gather-payload check comes
+  // first. A caller may run it ahead of write() and pass the result in
+  // spec.fsblksize: write() then agrees without a rendezvous.
+  static Result<std::uint64_t> agree_block_size(fs::FileSystem& fs,
+                                                par::Comm& gcom,
+                                                const core::ParOpenSpec& spec);
+
   // Collective probe-and-heal over `mcom` (any size, including 1): rank 0
   // validates every primary physical file (open + metablocks 1 and 2); lost
   // or damaged files are reconstructed from the first surviving replica,

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 
 #include "common/crc32c.h"
 #include "common/strings.h"
 #include "ext/slz.h"
+#include "par/host_pool.h"
 
 namespace sion::ext {
 
@@ -173,47 +175,64 @@ FrameStreamReader::FrameStreamReader(FrameIndex index, ReadAtFn read_at,
   if (loss_ != nullptr) loss_->merge(index_.scan_loss);
 }
 
-Status FrameStreamReader::materialize(std::size_t frame_i) {
-  const FrameEntry& e = index_.frames[frame_i];
-  bool damaged = e.torn;
-  if (!damaged) {
-    std::vector<std::byte> body(
-        static_cast<std::size_t>(e.comp_bytes + kFrameTrailerBytes));
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t got,
-        read_at_(e.encoded_offset + kFrameHeaderBytes,
-                 std::span<std::byte>(body)));
-    encoded_read_ += kFrameHeaderBytes + got;
+namespace {
+
+// Frames a read_decoded call keeps in flight: each holds its body and, once
+// decoded, its raw bytes until it is copied out.
+constexpr std::size_t kDecodeWindow = 16;
+
+}  // namespace
+
+// One frame on its way into a read_decoded output: its body, read in frame
+// order, then its CRC check and decode on the host pool.
+struct FrameStreamReader::InFlight {
+  std::size_t frame = 0;
+  std::uint64_t in_frame = 0;  // first decoded byte wanted
+  std::uint64_t n = 0;         // decoded bytes wanted
+  std::uint64_t out_at = 0;    // where they go in the output
+  std::vector<std::byte> body;  // slz stream + payload CRC
+  std::uint64_t got = 0;        // body bytes actually read
+  std::vector<std::byte> decoded;
+  bool damaged = true;
+  par::HostJob decoding;
+
+  // Pure (the host pool's contract): reads only `e` and the body.
+  void decode(const FrameEntry& e) {
     const auto payload =
         std::span<const std::byte>(body).first(e.comp_bytes);
-    if (got != body.size() ||
-        crc32c(payload) != get_u32(body, e.comp_bytes)) {
-      damaged = true;
-    } else {
-      // The header's raw size bounds the decode: a forged slz header inside
-      // a CRC-valid frame still cannot drive a larger allocation.
-      auto decoded = slz_decompress(payload, e.decoded_bytes);
-      if (decoded.ok() && decoded.value().size() == e.decoded_bytes) {
-        cache_ = std::move(decoded).value();
-      } else {
-        damaged = true;
-      }
+    if (got != body.size() || crc32c(payload) != get_u32(body, e.comp_bytes)) {
+      return;
+    }
+    // The header's raw size bounds the decode: a forged slz header inside
+    // a CRC-valid frame still cannot drive a larger allocation.
+    auto out = slz_decompress(payload, e.decoded_bytes);
+    if (out.ok() && out.value().size() == e.decoded_bytes) {
+      decoded = std::move(out).value();
+      damaged = false;
     }
   }
-  if (damaged) {
+};
+
+void FrameStreamReader::finish(InFlight& f, std::span<std::byte> out) {
+  f.decoding.wait();
+  const FrameEntry& e = index_.frames[f.frame];
+  if (f.damaged) {
     cache_.assign(static_cast<std::size_t>(e.decoded_bytes), std::byte{0});
+  } else {
+    cache_ = std::move(f.decoded);
   }
-  cache_i_ = frame_i;
-  if (!loss_counted_[frame_i] && loss_ != nullptr) {
-    if (damaged) {
+  cache_i_ = f.frame;
+  if (!loss_counted_[f.frame] && loss_ != nullptr) {
+    if (f.damaged) {
       loss_->frames_skipped += 1;
       loss_->bytes_zero_filled += e.decoded_bytes;
     } else {
       loss_->frames_decoded += 1;
     }
   }
-  loss_counted_[frame_i] = true;
-  return Status::Ok();
+  loss_counted_[f.frame] = true;
+  std::memcpy(out.data() + f.out_at, cache_.data() + f.in_frame,
+              static_cast<std::size_t>(f.n));
 }
 
 Status FrameStreamReader::read_decoded(std::uint64_t offset,
@@ -233,6 +252,15 @@ Status FrameStreamReader::read_decoded(std::uint64_t offset,
                        }) -
       index_.frames.begin());
   if (i > 0) --i;
+  // Bodies are read in frame order, and each frame's decode starts on the
+  // host pool as soon as its body is in memory, so it overlaps the reads
+  // after it (and the other tasks, where a read yields). Frames are
+  // finished (cached, counted, copied out) in frame order too; only the
+  // first frame can still be in the cache.
+  std::deque<InFlight> flight;
+  const auto finish_all = [&] {
+    for (; !flight.empty(); flight.pop_front()) finish(flight.front(), out);
+  };
   std::uint64_t done = 0;
   while (done < out.size()) {
     const FrameEntry& e = index_.frames[i];
@@ -241,14 +269,41 @@ Status FrameStreamReader::read_decoded(std::uint64_t offset,
       ++i;
       continue;
     }
-    if (cache_i_ != i) SION_RETURN_IF_ERROR(materialize(i));
     const std::uint64_t in_frame = cur - e.decoded_offset;
     const std::uint64_t n = std::min<std::uint64_t>(
         e.decoded_bytes - in_frame, out.size() - done);
-    std::memcpy(out.data() + done, cache_.data() + in_frame,
-                static_cast<std::size_t>(n));
+    if (done == 0 && cache_i_ == i) {
+      std::memcpy(out.data(), cache_.data() + in_frame,
+                  static_cast<std::size_t>(n));
+    } else {
+      if (flight.size() == kDecodeWindow) {
+        finish(flight.front(), out);
+        flight.pop_front();
+      }
+      InFlight& f = flight.emplace_back();
+      f.frame = i;
+      f.in_frame = in_frame;
+      f.n = n;
+      f.out_at = done;
+      if (!e.torn) {
+        f.body.resize(static_cast<std::size_t>(e.comp_bytes +
+                                               kFrameTrailerBytes));
+        const Result<std::uint64_t> got = read_at_(
+            e.encoded_offset + kFrameHeaderBytes, std::span<std::byte>(f.body));
+        if (!got.ok()) {
+          // The frames before this one end up as if read one by one.
+          flight.pop_back();
+          finish_all();
+          return got.status();
+        }
+        encoded_read_ += kFrameHeaderBytes + got.value();
+        f.got = got.value();
+        f.decoding = par::HostJob::start([&f, &e] { f.decode(e); });
+      }
+    }
     done += n;
   }
+  finish_all();
   return Status::Ok();
 }
 

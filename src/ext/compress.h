@@ -118,6 +118,8 @@ Result<FrameIndex> index_frames(std::uint64_t encoded_bytes,
 // wave pipeline. Ascending reads decode each frame exactly once (the last
 // frame is cached); payload CRC failures zero-fill and are counted once per
 // frame in `loss` (which also receives the index's scan loss up front).
+// Frame bodies are read in frame order and checked and decoded on the host
+// pool (par/host_pool.h) while the next bodies are read.
 class FrameStreamReader {
  public:
   FrameStreamReader(FrameIndex index, ReadAtFn read_at,
@@ -136,7 +138,10 @@ class FrameStreamReader {
   Status read_decoded(std::uint64_t offset, std::span<std::byte> out);
 
  private:
-  Status materialize(std::size_t frame_i);
+  struct InFlight;
+  // Waits for `f`'s decode, makes it the cached frame, counts it once and
+  // copies its wanted bytes into `out`.
+  void finish(InFlight& f, std::span<std::byte> out);
 
   FrameIndex index_;
   ReadAtFn read_at_;

@@ -451,6 +451,13 @@ Result<EccParityInfo> Ecc::inspect_parity(fs::FileSystem& fs,
   return info;
 }
 
+Result<std::uint64_t> Ecc::agree_block_size(fs::FileSystem& fs,
+                                             par::Comm& gcom,
+                                             const core::ParOpenSpec& spec) {
+  return core::agree_block_size(fs, gcom, spec.filename, spec.fsblksize,
+                                kEccFailed);
+}
+
 Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
                   const core::ParOpenSpec& spec, const EccConfig& config,
                   fs::DataView payload) {
@@ -472,8 +479,7 @@ Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
   // geometry alone, so the block size is pinned up front (the primary's
   // writers would otherwise detect it file by file).
   SION_ASSIGN_OR_RETURN(const std::uint64_t fsblksize,
-                        core::agree_block_size(fs, gcom, spec.filename,
-                                               spec.fsblksize, kEccFailed));
+                        agree_block_size(fs, gcom, spec));
 
   core::ParOpenSpec pspec = spec;
   pspec.nfiles = k;

@@ -137,6 +137,14 @@ struct EccParityInfo {
 
 class Ecc {
  public:
+  // The block-size agreement write() starts with (a collective over `gcom`
+  // unless spec.fsblksize is set). A caller may run it ahead of write(),
+  // say to overlap it with other work, and pass the result in
+  // spec.fsblksize: write() then agrees without a rendezvous.
+  static Result<std::uint64_t> agree_block_size(fs::FileSystem& fs,
+                                                par::Comm& gcom,
+                                                const core::ParOpenSpec& spec);
+
   // Collective write over `gcom`: the primary multifile at spec.filename
   // (spec.nfiles overridden by the data-domain count) followed by the m
   // parity files. spec.chunk_frames must be off.

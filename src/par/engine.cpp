@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "par/comm.h"
+#include "par/host_pool.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define SION_ASAN 1
@@ -139,7 +140,15 @@ namespace testing {
 void scribble_cached_stack_slabs() { slab_pool().scribble(); }
 }  // namespace testing
 
-TaskState* this_task() { return g_current_task; }
+TaskState* this_task() {
+#ifndef NDEBUG
+  // Every SimFs and Comm operation asks for its task here; a host pool job
+  // that got this far is not pure (par/host_pool.h).
+  SION_CHECK(!on_host_worker())
+      << "a host pool job called into the engine, SimFs or Comm";
+#endif
+  return g_current_task;
+}
 
 void TaskState::advance_to(double t) {
   if (t > vtime_) {
@@ -186,7 +195,7 @@ void Engine::fiber_main(int index) {
   try {
     (*body_)(*world_);
   } catch (...) {  // sion-lint: allow(catch-all)
-    // The one legitimate catch-all: a fiber boundary. Whatever a task body
+    // A legitimate catch-all: a fiber boundary. Whatever a task body
     // throws must be parked and rethrown from Engine::run -- letting it
     // unwind a fiber stack into the scheduler would be UB. The smallest
     // (vtime, rank) throw wins, so the propagated exception does not depend

@@ -11,6 +11,7 @@
 #include "core/api.h"
 #include "fs/path.h"
 #include "par/engine.h"
+#include "par/host_pool.h"
 
 namespace sion::workloads {
 
@@ -196,13 +197,28 @@ Result<CheckpointSession::Ticket> CheckpointSession::write_async(
 
   // Compression happens here, upstream of every write route: the staging
   // absorb, the buddy replicas, and the collective aggregation all move the
-  // already-encoded (smaller) stream as opaque bytes.
-  std::vector<std::byte> encoded;
+  // already-encoded (smaller) stream as opaque bytes. It runs on the host
+  // pool; where the route's first collective is the block-size agreement,
+  // this task runs that agreement while the pool compresses (the other
+  // tasks run meanwhile), and hands the agreed size down.
+  std::uint64_t fsblksize = spec_.fsblksize;
+  Result<std::vector<std::byte>> encoded = std::vector<std::byte>{};
   if (spec_.compression.has_value()) {
-    const std::vector<std::byte> flat = flatten_view(payload);
-    SION_ASSIGN_OR_RETURN(encoded,
-                          ext::compress_stream(flat, *spec_.compression));
-    payload = fs::DataView(encoded);
+    std::vector<std::byte> flat;
+    std::span<const std::byte> raw = payload.bytes();
+    if (payload.is_fill() || payload.is_gather()) {
+      flat = flatten_view(payload);
+      raw = flat;
+    }
+    const ext::CompressionSpec& compression = *spec_.compression;
+    par::HostJob compressing = par::HostJob::start(
+        [&] { encoded = ext::compress_stream(raw, compression); });
+    Result<std::uint64_t> agreed = fsblksize;
+    if (agreement_first()) agreed = agree_block_size(name);
+    compressing.wait();
+    SION_RETURN_IF_ERROR(encoded.status());
+    SION_ASSIGN_OR_RETURN(fsblksize, std::move(agreed));
+    payload = fs::DataView(encoded.value());
   }
 
   if (staging_ != nullptr) {
@@ -225,7 +241,7 @@ Result<CheckpointSession::Ticket> CheckpointSession::write_async(
     return Ticket{index};
   }
 
-  const Status st = write_now(name, payload);
+  const Status st = write_now(name, payload, fsblksize);
   Record rec;
   rec.index = index;
   rec.name = name;
@@ -320,8 +336,31 @@ Status CheckpointSession::update_manifest() {
   return Status::Ok();
 }
 
+bool CheckpointSession::agreement_first() const {
+  if (staging_ != nullptr || spec_.strategy != IoStrategy::kSion) return false;
+  if (spec_.ecc_protection() != nullptr) return true;
+  if (spec_.buddy_protection() == nullptr) return false;
+  const ext::BuddyConfig config = buddy_config_of(spec_);
+  return config.replicas == 1 || config.collective.has_value();
+}
+
+Result<std::uint64_t> CheckpointSession::agree_block_size(
+    const std::string& name) {
+  // open() ran validate_protection, which makes every check Ecc::write and
+  // Buddy::write do before their agreement, so running it first here
+  // changes nothing but where it is called from.
+  core::ParOpenSpec open;
+  open.filename = name;
+  open.fsblksize = spec_.fsblksize;
+  if (spec_.ecc_protection() != nullptr) {
+    return ext::Ecc::agree_block_size(*fs_, *comm_, open);
+  }
+  return ext::Buddy::agree_block_size(*fs_, *comm_, open);
+}
+
 Status CheckpointSession::write_now(const std::string& name,
-                                    fs::DataView payload) {
+                                    fs::DataView payload,
+                                    std::uint64_t fsblksize) {
   const CheckpointSpec& spec = spec_;
   switch (spec.strategy) {
     case IoStrategy::kSion: {
@@ -329,7 +368,7 @@ Status CheckpointSession::write_now(const std::string& name,
       open.filename = name;
       open.chunksize = sion_chunksize(payload);
       open.nfiles = spec.nfiles;
-      open.fsblksize = spec.fsblksize;
+      open.fsblksize = fsblksize;
       if (spec.buddy_protection() != nullptr) {
         return ext::Buddy::write(*fs_, *comm_, open, buddy_config_of(spec),
                                  payload);

@@ -103,8 +103,15 @@ class CheckpointSession {
   CheckpointSession(fs::FileSystem& fs, par::Comm& comm, CheckpointSpec spec)
       : fs_(&fs), comm_(&comm), spec_(std::move(spec)) {}
 
-  // The classic synchronous checkpoint write, at an explicit name.
-  Status write_now(const std::string& name, fs::DataView payload);
+  // The classic synchronous checkpoint write, at an explicit name, with
+  // `fsblksize` in place of spec().fsblksize.
+  Status write_now(const std::string& name, fs::DataView payload,
+                   std::uint64_t fsblksize);
+
+  // Whether write_now's first collective is the block-size agreement of
+  // Ecc::write or Buddy::write, which agree_block_size() can then run ahead.
+  [[nodiscard]] bool agreement_first() const;
+  Result<std::uint64_t> agree_block_size(const std::string& name);
 
   // Mirror ext::Staging's drain states into records_.
   void sync_records();
