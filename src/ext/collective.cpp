@@ -187,10 +187,13 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   if (spec.chunksize == 0) {
     create.task_status = InvalidArgument("chunksize must be positive");
   }
-  SION_ASSIGN_OR_RETURN(
-      core::ChunkView view,
-      core::create_physical_file(fs, gcom, out->place_, create));
-  out->adopt(std::move(view));
+  Result<core::ChunkView> view =
+      core::create_physical_file(fs, gcom, out->place_, create);
+  if (!view.ok()) {
+    out->closed_ = true;  // nothing was created, so there is nothing to close
+    return view.status();
+  }
+  out->adopt(std::move(view).value());
   gcom.barrier();
   return out;
 }
