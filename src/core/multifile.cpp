@@ -272,6 +272,7 @@ Result<ChunkView> create_physical_file(fs::FileSystem& fs, par::Comm& gcom,
   std::vector<std::uint64_t> gathered;
   par::Comm::Exchange x;
   x.words = std::span(words).subspan(detect ? 0 : 1, to - (detect ? 1 : 2));
+  x.argument = spec.fsblksize;  // two different given sizes fail every task
   x.gathered = &gathered;
   SION_RETURN_IF_ERROR(gcom.exchange(
       lcom, place.filenum, place.nfiles,

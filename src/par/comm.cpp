@@ -535,44 +535,43 @@ std::vector<std::byte> Comm::rotate_bytes(std::span<const std::byte> data,
 // fused two-level exchange
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// exchange()'s rendezvous slot, on every task's stack: a few words.
-struct ExchangeSlot {
-  Comm::Exchange* x;
-  Comm* lcom;
-  std::span<const Comm::Step> steps;
-  double arrival;
-  int group;
-  int ngroups;
-  int lrank;
-  std::uint32_t code;        // this task's status code
-  std::uint32_t shared = 0;  // out: lcom rank 0's code, when a vote failed
-  bool failed = false;       // out: a vote failed
-  bool differs = false;      // out: the tasks passed different arguments
-};
-
-}  // namespace
-
 Status Comm::exchange(Comm& lcom, int group, int ngroups,
                       std::span<const Step> steps, Exchange& x,
                       const Status& mine, const char* what) {
-  ExchangeSlot slot{&x,
-                    &lcom,
-                    steps,
-                    calling_task().now(),
-                    group,
-                    ngroups,
-                    lcom.rank(),
-                    static_cast<std::uint32_t>(mine.code())};
+  SION_CHECK(x.words.size() <= ExchangeSlot::kMaxWords)
+      << "exchange carries at most " << ExchangeSlot::kMaxWords << " words";
   const int my_rank = rank();
+  // Sized once, by the first task of the first exchange: the slots never
+  // move while a task waits.
+  if (xslots_.size() != members_.size()) xslots_.resize(members_.size());
+  ExchangeSlot& slot = xslots_[static_cast<std::size_t>(my_rank)];
+  slot.x = &x;
+  slot.lcom = &lcom;
+  slot.steps = steps;
+  slot.nwords = x.words.size();
+  std::copy(x.words.begin(), x.words.end(), slot.words.begin());
+  slot.argument = x.argument;
+  slot.arrival = calling_task().now();
+  slot.group = group;
+  slot.ngroups = ngroups;
+  slot.lrank = lcom.rank();
+  slot.code = static_cast<std::uint32_t>(mine.code());
+  slot.shared = 0;
+  slot.failed = false;
+  slot.differs = false;
   if (arrive(Kind::kExchange, &slot, my_rank)) {
     calling_task().advance_to(finish_exchange(ngroups, steps, my_rank));
   }
+  // Released: this task's results wait in its slot.
+  std::copy(slot.words.begin(),
+            slot.words.begin() + static_cast<std::ptrdiff_t>(slot.nwords),
+            x.words.begin());
+  x.piece = slot.piece;
   if (slot.differs) {
     return InvalidArgument(
         "tasks passed different arguments to one collective exchange (e.g. "
-        "a file-system block size on some tasks only)");
+        "a file-system block size on some tasks only, or two different "
+        "sizes)");
   }
   if (!slot.failed) return Status::Ok();
   if (slot.shared != 0) {
@@ -584,17 +583,14 @@ Status Comm::exchange(Comm& lcom, int group, int ngroups,
 }
 
 // Out of line: its locals sit only on the last arrival's stack, never in
-// the frame every task keeps while it waits. Two passes over the slots (each
-// on a different fiber stack): the first reads the groups, clocks and
-// statuses, then the steps are charged per group, and the second moves the
-// data of the steps that ran.
+// the frame every task keeps while it waits. Two passes over the comm's
+// slot array (no task's stack but the file masters'): the first reads the
+// groups, clocks and statuses, then the steps are charged per group, and
+// the second moves the data of the steps that ran.
 __attribute__((noinline)) double Comm::finish_exchange(
     int ngroups, std::span<const Step> steps, int my_rank) {
   const auto n = static_cast<std::size_t>(size());
   const auto ng = static_cast<std::size_t>(ngroups);
-  const auto slot_of = [this](std::size_t i) -> ExchangeSlot& {
-    return *static_cast<ExchangeSlot*>(site_slots_[i]);
-  };
   std::size_t nwords = 0;
   for (const Step step : steps) {
     if (step == Step::kBcast || step == Step::kGather ||
@@ -603,11 +599,11 @@ __attribute__((noinline)) double Comm::finish_exchange(
     }
   }
 
-
   // Pass 1: the file groups, their clocks (latest arrival), their masters
   // and the masters' words. A group's slots come in lcom rank order. Every
-  // task must bring the same steps, file count and words; otherwise
-  // nothing runs, and every task is released at the latest arrival.
+  // task must bring the same steps, file count, words and argument word;
+  // otherwise nothing runs, and every task is released at the latest
+  // arrival.
   const auto same_steps = [steps](std::span<const Step> other) {
     return (other.data() == steps.data() && other.size() == steps.size()) ||
            std::equal(other.begin(), other.end(), steps.begin(), steps.end());
@@ -620,11 +616,12 @@ __attribute__((noinline)) double Comm::finish_exchange(
   xs.shared.assign(ng, 0);
   xs.root_words.resize(ng * nwords);
   bool any_failed = false;
+  const std::uint64_t argument = xslots_.front().argument;
   for (std::size_t i = 0; i < n; ++i) {
-    const ExchangeSlot& s = slot_of(i);
-    if (s.ngroups != ngroups || s.x->words.size() != nwords ||
-        !same_steps(s.steps)) {
-      for (std::size_t k = 0; k < n; ++k) slot_of(k).differs = true;
+    const ExchangeSlot& s = xslots_[i];
+    if (s.ngroups != ngroups || s.nwords != nwords ||
+        s.argument != argument || !same_steps(s.steps)) {
+      for (ExchangeSlot& k : xslots_) k.differs = true;
       release_all(my_rank, site_tmax_);
       return site_tmax_;
     }
@@ -638,7 +635,8 @@ __attribute__((noinline)) double Comm::finish_exchange(
       xs.root[g] = s.x;
       xs.clock[g] = s.arrival;
       xs.shared[g] = s.code;
-      std::copy(s.x->words.begin(), s.x->words.end(),
+      std::copy(s.words.begin(),
+                s.words.begin() + static_cast<std::ptrdiff_t>(nwords),
                 xs.root_words.begin() + static_cast<std::ptrdiff_t>(g * nwords));
     } else {
       SION_CHECK(xs.lcom[g] == s.lcom) << "exchange group spans two comms";
@@ -727,12 +725,12 @@ __attribute__((noinline)) double Comm::finish_exchange(
   // Pass 2: every task's data for the steps that ran.
   xs.piece_at.assign(ng, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    ExchangeSlot& s = slot_of(i);
+    ExchangeSlot& s = xslots_[i];
     const auto g = static_cast<std::size_t>(s.group);
     const auto r = static_cast<std::size_t>(s.lrank);
     const auto ls = static_cast<std::size_t>(lsize(g));
     const Exchange& root = *xs.root[g];
-    std::span<std::uint64_t> words = s.x->words;
+    std::array<std::uint64_t, ExchangeSlot::kMaxWords>& words = s.words;
     std::size_t w = 0;
     std::size_t gathered = 0;
     std::size_t scattered = 0;
@@ -754,7 +752,7 @@ __attribute__((noinline)) double Comm::finish_exchange(
         }
         case Step::kScatterv: {
           const std::uint64_t bytes = root.piece_sizes[r];
-          s.x->piece = root.pieces.subspan(xs.piece_at[g], bytes);
+          s.piece = root.pieces.subspan(xs.piece_at[g], bytes);
           xs.piece_at[g] += bytes;
           break;
         }
@@ -770,7 +768,7 @@ __attribute__((noinline)) double Comm::finish_exchange(
   }
 
   // Release each file at its clock.
-  const ExchangeSlot& me = slot_of(static_cast<std::size_t>(my_rank));
+  const ExchangeSlot& me = xslots_[static_cast<std::size_t>(my_rank)];
   for (std::size_t g = 0; g < ng; ++g) {
     if (xs.count[g] == 0) continue;
     Comm& l = *xs.lcom[g];

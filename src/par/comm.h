@@ -30,6 +30,7 @@
 //     of 17 and 13.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -177,8 +178,11 @@ class Comm {
   struct Exchange {
     // One word per kBcast, kGather and kScatter step, in step order: the
     // value this task sends (kGather, and lcom rank 0's for kBcast) or
-    // receives (kBcast, kScatter).
+    // receives (kBcast, kScatter). At most ExchangeSlot::kMaxWords.
     std::span<std::uint64_t> words;
+    // An argument every task must pass equal (say, a given file-system
+    // block size); tasks that pass different ones all get InvalidArgument.
+    std::uint64_t argument = 0;
     // kScatterv: this task's piece, a view into lcom rank 0's `pieces` (no
     // copy). It stays valid while the master keeps `pieces` alive, which a
     // caller guarantees up to its next collective.
@@ -200,8 +204,9 @@ class Comm {
   // Returns Ok unless a vote failed; then lcom rank 0 of a failed file gets
   // `mine`, its other tasks the master's code with `what` as message, and
   // every other task `mine` if it failed itself, else Internal(`what`).
-  // Tasks that pass different steps, `ngroups` or word counts (say, a block
-  // size given on some tasks only) all get InvalidArgument instead.
+  // Tasks that pass different steps, `ngroups`, word counts (say, a block
+  // size given on some tasks only) or argument words all get
+  // InvalidArgument instead.
   Status exchange(Comm& lcom, int group, int ngroups,
                   std::span<const Step> steps, Exchange& x,
                   const Status& mine, const char* what);
@@ -301,6 +306,30 @@ class Comm {
   int site_arrived_ = 0;
   double site_tmax_ = 0.0;
   std::vector<void*> site_slots_;
+
+  // exchange()'s rendezvous slots, one per comm rank in one comm-owned
+  // array: a task fills its slot before it arrives and copies its results
+  // out after its release, so finish_exchange() reads and writes this array
+  // and never the waiting tasks' stacks (16Ki of them on a large open).
+  struct ExchangeSlot {
+    static constexpr std::size_t kMaxWords = 8;
+    Exchange* x = nullptr;  // read for lcom rank 0's root-only fields
+    Comm* lcom = nullptr;
+    std::span<const Step> steps;
+    std::array<std::uint64_t, kMaxWords> words{};
+    std::size_t nwords = 0;
+    std::span<const std::byte> piece;  // out: kScatterv
+    std::uint64_t argument = 0;
+    double arrival = 0.0;
+    int group = 0;
+    int ngroups = 0;
+    int lrank = 0;
+    std::uint32_t code = 0;    // this task's status code
+    std::uint32_t shared = 0;  // out: lcom rank 0's code, when a vote failed
+    bool failed = false;       // out: a vote failed
+    bool differs = false;      // out: the tasks passed different arguments
+  };
+  std::vector<ExchangeSlot> xslots_;
 
   // finish_exchange() scratch, reused across calls: one entry per file
   // group (the masters' words: nwords per group).

@@ -16,8 +16,8 @@
 // gets Internal.
 //
 // Tasks that disagree on an argument fail too: one task leaving the block
-// size to detection while the others pass one makes every task return
-// InvalidArgument. Through ext::Buddy the same mix sends the tasks into
+// size to detection, or passing another size, while the others pass one
+// makes every task return InvalidArgument. Through ext::Buddy the same mix sends the tasks into
 // collectives of different kinds, which the engine stops with a CHECK that
 // names both.
 #include <gtest/gtest.h>
@@ -309,35 +309,54 @@ TEST_F(DivergenceTest, MasterMetablock2WriteFails) {
   }
 }
 
-// The block size of the task of rank `odd` is left to detection (0); every
-// other task passes 4 KiB.
-std::uint64_t mixed_block_size(int rank, int odd) {
-  return rank == odd ? 0 : 4 * kKiB;
+// The task of rank `odd` passes `odd_size` as its block size; every other
+// task passes 4 KiB.
+std::uint64_t mixed_block_size(int rank, int odd, std::uint64_t odd_size) {
+  return rank == odd ? odd_size : 4 * kKiB;
 }
 
-TEST_F(DivergenceTest, OneTaskLeavesTheBlockSizeToDetection) {
-  // A file master, a non-master, and the last task.
+// Through SionParFile and ext::Collective, one task's block size differs
+// from the others' (a file master, a non-master, and the last task): every
+// task gets InvalidArgument, and no task warns about a file it never
+// created.
+void expect_mixed_block_sizes_fail(par::Engine& engine, fs::FileSystem& fs,
+                                   std::uint64_t odd_size) {
   for (const int odd : {kPerFile, kPerFile + 1, kTasks - 1}) {
     for (const bool collective : {false, true}) {
       std::vector<Status> got(kTasks);
-      engine_.run(kTasks, [&](par::Comm& world) {
+      ::testing::internal::CaptureStderr();
+      engine.run(kTasks, [&](par::Comm& world) {
         core::ParOpenSpec spec = write_spec();
-        spec.fsblksize = mixed_block_size(world.rank(), odd);
+        spec.fsblksize = mixed_block_size(world.rank(), odd, odd_size);
         got[static_cast<std::size_t>(world.rank())] =
             collective ? status_of(ext::Collective::open_write(
-                             fs_, world, spec, collective_config()))
-                       : status_of(core::SionParFile::open_write(fs_, world,
+                             fs, world, spec, collective_config()))
+                       : status_of(core::SionParFile::open_write(fs, world,
                                                                  spec));
       });
+      const std::string log = ::testing::internal::GetCapturedStderr();
+      const char* api = collective ? "Collective" : "SionParFile";
+      EXPECT_EQ(log.find("destroyed without collective close"),
+                std::string::npos)
+          << api << ", task " << odd << " logged:\n" << log;
       for (int r = 0; r < kTasks; ++r) {
         EXPECT_EQ(got[static_cast<std::size_t>(r)].code(),
                   ErrorCode::kInvalidArgument)
-            << (collective ? "Collective" : "SionParFile") << ", task " << odd
-            << " detects, rank " << r << " got "
-            << got[static_cast<std::size_t>(r)].to_string();
+            << api << ", task " << odd << " passes " << odd_size << ", rank "
+            << r << " got " << got[static_cast<std::size_t>(r)].to_string();
       }
     }
   }
+}
+
+TEST_F(DivergenceTest, OneTaskLeavesTheBlockSizeToDetection) {
+  expect_mixed_block_sizes_fail(engine_, fs_, 0);
+}
+
+// Before the argument word of the create's exchange, the 8 KiB task kept
+// its own size and wrote into its neighbour's chunk.
+TEST_F(DivergenceTest, OneTaskPassesAnotherBlockSize) {
+  expect_mixed_block_sizes_fail(engine_, fs_, 8 * kKiB);
 }
 
 TEST_F(DivergenceTest, BuddyWithOneTaskDetectingAbortsNamingBothCollectives) {
@@ -349,7 +368,7 @@ TEST_F(DivergenceTest, BuddyWithOneTaskDetectingAbortsNamingBothCollectives) {
         config.replicas = 2;
         engine_.run(kTasks, [&](par::Comm& world) {
           core::ParOpenSpec spec = write_spec();
-          spec.fsblksize = mixed_block_size(world.rank(), 1);
+          spec.fsblksize = mixed_block_size(world.rank(), 1, 0);
           (void)ext::Buddy::write(fs_, world, spec, config,
                                   fs::DataView::fill(std::byte{7}, kKiB));
         });
