@@ -194,7 +194,7 @@ struct FrameStreamReader::InFlight {
   std::uint64_t got = 0;        // body bytes actually read
   std::vector<std::byte> decoded;
   bool damaged = true;
-  par::HostJob decoding;
+  par::HostJob decoding;  // last: destroyed (so waited for) first
 
   // Pure (the host pool's contract): reads only `e` and the body.
   void decode(const FrameEntry& e) {

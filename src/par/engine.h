@@ -44,6 +44,13 @@
 // 64Ki/128Ki/256Ki tasks took 1.65/3.43/7.01 s on one thread and
 // 9.15/14.90/32.45 s on four, at identical peak RSS, and the 1Mi point took
 // 28.0 s on one thread versus 29.1 s on two.
+// The engine stays on that one thread. Pure byte work that every task does
+// at once on the real machine (checkpoint compression, frame decodes) goes
+// to the host worker pool (par/host_pool.h) instead: a task starts the job
+// just before it suspends anyway (a collective, a yielding SimFs read) and
+// waits for it after it resumes, so the workers crunch while the engine
+// runs the other tasks. Jobs never touch the engine, SimFs or Comm, so the
+// schedule and every virtual time are the same as with the work inline.
 //
 // Invariant maintained by the engine: whenever a task's virtual clock
 // advances, the task yields, so resource requests are issued in globally

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.h"
+
 namespace sion::par {
 
 namespace detail {
@@ -30,6 +32,10 @@ thread_local bool g_on_worker = false;
 
 class Pool {
  public:
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
   ~Pool() {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -135,8 +141,8 @@ class Pool {
   std::condition_variable work_cv_;  // workers: a job was queued
   std::condition_variable done_cv_;  // waiters: a job finished
   std::deque<std::shared_ptr<HostJobState>> queue_;
-  std::vector<std::thread> workers_;
   bool stopping_ = false;
+  std::vector<std::thread> workers_;  // last: the workers use the above
 };
 
 Pool& pool() {
@@ -144,19 +150,25 @@ Pool& pool() {
   return p;
 }
 
-}  // namespace
-
-HostJob::~HostJob() {
-  if (state_ != nullptr) {
-    // An early return: finish the job before its captures go out of scope.
-    // Its exception, if any, has no one left to report to.
-    pool().wait(*state_);
+// An unwaited handle goes away on an early return: finish its job before
+// the job's captures go out of scope. Nobody is left to rethrow to, so a
+// failure is logged.
+void finish_dropped(const std::shared_ptr<HostJobState>& state) {
+  if (state == nullptr) return;
+  pool().wait(*state);
+  if (state->error) {
+    SION_LOG_WARN << "a host pool job failed, and its handle was dropped "
+                     "without wait()";
   }
 }
 
+}  // namespace
+
+HostJob::~HostJob() { finish_dropped(state_); }
+
 HostJob& HostJob::operator=(HostJob&& other) noexcept {
   if (this != &other) {
-    if (state_ != nullptr) pool().wait(*state_);
+    finish_dropped(state_);
     state_ = std::move(other.state_);
   }
   return *this;

@@ -17,9 +17,9 @@
 //
 // Tasks that disagree on an argument fail too: one task leaving the block
 // size to detection, or passing another size, while the others pass one
-// makes every task return InvalidArgument. Through ext::Buddy the same mix sends the tasks into
-// collectives of different kinds, which the engine stops with a CHECK that
-// names both.
+// makes every task return InvalidArgument. Through ext::Buddy a task left
+// to detection sends the tasks into collectives of different kinds, which
+// the engine stops with a CHECK that names both.
 #include <gtest/gtest.h>
 
 #include <functional>
