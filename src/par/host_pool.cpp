@@ -14,7 +14,8 @@ namespace sion::par {
 
 namespace detail {
 
-// Every field is guarded by the pool's mutex.
+// `fn` belongs to the one thread that claimed the job; the other fields are
+// guarded by the pool's mutex.
 struct HostJobState {
   std::function<void()> fn;
   std::exception_ptr error;
@@ -127,8 +128,7 @@ class Pool {
       // carried to the thread that waits for it and rethrown there.
       error = std::current_exception();
     }
-    std::function<void()> fn = std::move(job.fn);  // drop captures here
-    fn = nullptr;
+    job.fn = nullptr;  // its captures go before the waiter sees `done`
     {
       const std::lock_guard<std::mutex> lock(mu_);
       job.error = std::move(error);
